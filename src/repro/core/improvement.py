@@ -28,7 +28,8 @@ Theorem 2 (via Fürer–Raghavachari's Theorem 1) its degree is at most Δ*+1.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from bisect import bisect_right
+from dataclasses import dataclass
 from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
 
 import networkx as nx
@@ -62,11 +63,94 @@ class Move:
     kind: str = "improve"
 
 
+class _RootedLayout:
+    """Rooted view of one tree state, for path queries without a search.
+
+    Every component of the tree edges is rooted at its smallest node (a
+    well-formed spanning tree has one).  ``tin``/``tout`` are preorder entry
+    and last-descendant times, so ``x`` lies in the subtree of ``w`` iff
+    ``tin[w] <= tin[x] <= tout[w]``; ``child_tins[w]`` lists the entry times
+    of ``w``'s children in increasing order.
+    """
+
+    __slots__ = ("parent", "depth", "root", "tin", "tout", "child_tins", "spanning",
+                 "through")
+
+    def __init__(self, nodes: Sequence[NodeId], adj: Dict[NodeId, set[NodeId]]):
+        parent: Dict[NodeId, NodeId] = {}
+        depth: Dict[NodeId, int] = {}
+        root: Dict[NodeId, NodeId] = {}
+        order: List[NodeId] = []
+        for r in nodes:
+            if r in depth:
+                continue
+            parent[r] = r
+            depth[r] = 0
+            root[r] = r
+            stack = [r]
+            while stack:
+                x = stack.pop()
+                order.append(x)
+                dx = depth[x] + 1
+                for y in adj[x]:
+                    if y not in depth:
+                        parent[y] = x
+                        depth[y] = dx
+                        root[y] = r
+                        stack.append(y)
+        tin = {x: i for i, x in enumerate(order)}
+        size = dict.fromkeys(order, 1)
+        child_tins: Dict[NodeId, List[int]] = {x: [] for x in order}
+        for x in reversed(order):
+            p = parent[x]
+            if p != x:
+                size[p] += size[x]
+        for x in order:
+            p = parent[x]
+            if p != x:
+                child_tins[p].append(tin[x])
+        self.parent = parent
+        self.depth = depth
+        self.root = root
+        self.tin = tin
+        self.tout = {x: tin[x] + size[x] - 1 for x in order}
+        self.child_tins = child_tins
+        self.spanning = len(set(root.values())) == 1
+        #: Memo of :meth:`TreeIndex.cycles_through`.
+        self.through: Dict[NodeId, Tuple[Edge, ...]] = {}
+
+    def interior_to(self, w: NodeId, edges: Iterable[Edge]) -> Tuple[Edge, ...]:
+        """The edges ``(a, b)`` whose tree path has ``w`` as an interior node."""
+        tin, root = self.tin, self.root
+        lo, hi = tin[w], self.tout[w]
+        kids = self.child_tins[w]
+        through = []
+        for edge in edges:
+            a, b = edge
+            if a == w or b == w:
+                continue
+            if not self.spanning and root[a] != root[b]:
+                raise NotASpanningTreeError(f"nodes {a} and {b} are not tree-connected")
+            ta, tb = tin[a], tin[b]
+            below_a = lo < ta <= hi
+            if below_a != (lo < tb <= hi):
+                through.append(edge)
+            elif below_a and bisect_right(kids, ta) != bisect_right(kids, tb):
+                # Both ends hang below w, from different children: w is
+                # their lowest common ancestor.
+                through.append(edge)
+        return tuple(through)
+
+
 class TreeIndex:
     """Mutable index of a spanning tree supporting cycle queries and swaps.
 
     The index keeps tree adjacency and degrees incrementally up to date so
     that the planning search (which simulates candidate swaps) stays cheap.
+    Path queries read a rooted layout of the current tree, built on first
+    use and dropped by :meth:`apply`; copies share the layout and the sorted
+    graph edge list until they diverge, so neither goes stale.  The graph
+    must not change while the index is in use.
     """
 
     def __init__(self, graph: nx.Graph, tree_edges: Iterable[Edge]):
@@ -83,6 +167,8 @@ class TreeIndex:
             self.adj[u].add(v)
             self.adj[v].add(u)
         self.degree: Dict[NodeId, int] = {v: len(self.adj[v]) for v in self.nodes}
+        self._graph_edges: Optional[List[Edge]] = None
+        self._layout: Optional[_RootedLayout] = None
 
     # -- queries -----------------------------------------------------------------
 
@@ -94,6 +180,8 @@ class TreeIndex:
         clone.tree_edges = set(self.tree_edges)
         clone.adj = {v: set(nbrs) for v, nbrs in self.adj.items()}
         clone.degree = dict(self.degree)
+        clone._graph_edges = self._graph_edges
+        clone._layout = self._layout
         return clone
 
     def tree_degree(self) -> int:
@@ -107,30 +195,56 @@ class TreeIndex:
 
     def non_tree_edges(self) -> List[Edge]:
         """Graph edges not currently in the tree, sorted canonically."""
-        graph_edges = {canonical_edge(u, v) for u, v in self.graph.edges}
-        return sorted(graph_edges - self.tree_edges)
+        if self._graph_edges is None:
+            self._graph_edges = sorted({canonical_edge(u, v) for u, v in self.graph.edges})
+        tree_edges = self.tree_edges
+        return [e for e in self._graph_edges if e not in tree_edges]
+
+    def _rooted(self) -> _RootedLayout:
+        layout = self._layout
+        if layout is None:
+            layout = self._layout = _RootedLayout(self.nodes, self.adj)
+        return layout
 
     def cycle_path(self, u: NodeId, v: NodeId) -> List[NodeId]:
         """Tree path from ``u`` to ``v`` (the fundamental cycle of ``{u, v}``)."""
         if u == v:
             return [u]
-        prev: Dict[NodeId, NodeId] = {u: u}
-        stack = [u]
-        while stack:
-            x = stack.pop()
-            if x == v:
-                break
-            for y in self.adj[x]:
-                if y not in prev:
-                    prev[y] = x
-                    stack.append(y)
-        if v not in prev:
+        layout = self._rooted()
+        if layout.root[u] != layout.root[v]:
             raise NotASpanningTreeError(f"nodes {u} and {v} are not tree-connected")
-        path = [v]
-        while path[-1] != u:
-            path.append(prev[path[-1]])
-        path.reverse()
-        return path
+        parent, depth = layout.parent, layout.depth
+        up, down = [u], [v]
+        while depth[u] > depth[v]:
+            u = parent[u]
+            up.append(u)
+        while depth[v] > depth[u]:
+            v = parent[v]
+            down.append(v)
+        while u != v:
+            u = parent[u]
+            up.append(u)
+            v = parent[v]
+            down.append(v)
+        down.pop()
+        down.reverse()
+        return up + down
+
+    def cycles_through(self, w: NodeId) -> Tuple[Edge, ...]:
+        """Non-tree edges whose fundamental cycle passes *through* ``w``.
+
+        The edges come in canonical order, each tested in O(1) on the
+        rooted layout; the answer is memoized per tree state.
+        """
+        layout = self._rooted()
+        through = layout.through.get(w)
+        if through is None:
+            through = layout.through[w] = layout.interior_to(w, self.non_tree_edges())
+        return through
+
+    def is_interior(self, w: NodeId, a: NodeId, b: NodeId) -> bool:
+        """``w in cycle_path(a, b)[1:-1]``, answered from the rooted layout."""
+        return bool(self._rooted().interior_to(w, ((a, b),)))
 
     # -- mutation ------------------------------------------------------------------
 
@@ -144,6 +258,7 @@ class TreeIndex:
             raise NotASpanningTreeError(f"cannot add existing tree edge {add}")
         if not self.graph.has_edge(*add):
             raise GraphError(f"cannot add non-graph edge {add}")
+        self._layout = None
         ru, rv = remove
         self.tree_edges.remove(remove)
         self.adj[ru].discard(rv)
@@ -201,74 +316,70 @@ def _pick_cycle_edge_incident_to(index: TreeIndex, path: Sequence[NodeId],
     return canonical_edge(w, z)
 
 
+#: A planned chain and the tree it leads to: the planner's own input tree
+#: when the chain is empty, a private copy otherwise.
+_Plan = Tuple[List[Move], TreeIndex]
+
+
 def _plan_deblock(index: TreeIndex, w: NodeId, k: int,
-                  stack: FrozenSet[NodeId], budget: List[int]) -> Optional[List[Move]]:
+                  stack: FrozenSet[NodeId], budget: List[int]) -> Optional[_Plan]:
     """Plan a chain of swaps that reduces ``deg(w)`` by one.
 
     ``w`` currently has degree ``k - 1``.  We look for a non-tree edge whose
     fundamental cycle passes through ``w`` and whose endpoints either already
     have degree <= ``k - 2`` or can themselves be deblocked (recursively,
-    with ``stack`` preventing cycles in the recursion).  All swaps are
-    simulated on ``index`` by the caller via the returned chain.
+    with ``stack`` preventing cycles in the recursion).  Every swap is
+    simulated on a copy of ``index``, which is returned with the chain.
     """
     if w in stack or budget[0] <= 0:
         return None
     budget[0] -= 1
     stack = stack | {w}
-    for edge in index.non_tree_edges():
+    for edge in index.cycles_through(w):
         a, b = edge
-        if w in (a, b):
-            continue  # the cycle must pass *through* w as an interior node
-        path = index.cycle_path(a, b)
-        if w not in path:
+        planned = _plan_endpoints(index, edge, k, stack, budget)
+        if planned is None:
             continue
-        chain = _plan_endpoints(index, (a, b), k, stack, budget)
-        if chain is None:
-            continue
-        # Simulate the sub-chain, then verify the deblocking swap is still valid.
-        sim = index.copy()
-        for move in chain:
-            sim.apply(move)
+        # Verify the deblocking swap is still valid after the sub-chain.
+        chain, sim = planned
         if sim.degree[w] != k - 1:
             # w's degree already changed as a side effect -- good enough.
-            return chain
+            return planned
         if max(sim.degree[a], sim.degree[b]) > k - 2:
             continue
-        path_now = sim.cycle_path(a, b)
-        if w not in path_now:
+        if not sim.is_interior(w, a, b):
             continue
-        remove = _pick_cycle_edge_incident_to(sim, path_now, w)
-        return chain + [Move(add=canonical_edge(a, b), remove=remove,
-                             target=w, kind="deblock")]
+        remove = _pick_cycle_edge_incident_to(sim, sim.cycle_path(a, b), w)
+        move = Move(add=edge, remove=remove, target=w, kind="deblock")
+        if sim is index:
+            sim = index.copy()
+        sim.apply(move)
+        return chain + [move], sim
     return None
 
 
 def _plan_endpoints(index: TreeIndex, edge: Edge, k: int,
-                    stack: FrozenSet[NodeId], budget: List[int]) -> Optional[List[Move]]:
-    """Plan swaps making both endpoints of ``edge`` have degree <= ``k - 2``.
+                    stack: FrozenSet[NodeId], budget: List[int]) -> Optional[_Plan]:
+    """Plan swaps making both endpoints of canonical ``edge`` have degree <= ``k - 2``.
 
-    Returns ``None`` when impossible, otherwise a (possibly empty) chain.
+    Returns ``None`` when impossible, otherwise a (possibly empty) chain and
+    the tree it leads to; the second endpoint is planned on the tree the
+    first one's chain leads to.
     """
     chain: List[Move] = []
     sim = index
-    for x in canonical_edge(*edge):
+    for x in edge:
         deg = sim.degree[x]
-        if chain:
-            # Recompute degree on a simulated copy including the chain so far.
-            tmp = index.copy()
-            for move in chain:
-                tmp.apply(move)
-            sim = tmp
-            deg = sim.degree[x]
         if deg <= k - 2:
             continue
         if deg >= k:
             return None
-        sub = _plan_deblock(sim, x, k, stack, budget)
-        if sub is None:
+        planned = _plan_deblock(sim, x, k, stack, budget)
+        if planned is None:
             return None
+        sub, sim = planned
         chain.extend(sub)
-    return chain
+    return chain, sim
 
 
 def plan_improvement(graph: nx.Graph, tree_edges: Iterable[Edge],
@@ -280,8 +391,14 @@ def plan_improvement(graph: nx.Graph, tree_edges: Iterable[Edge],
     Theorem 2 certifies ``deg(T) <= Δ* + 1``.
 
     ``max_plan_nodes`` bounds the total recursion effort of the planning
-    search (a safety valve for pathological instances; the bound is never hit
-    in the experiment suite).
+    search: each attempt to deblock a node spends one unit, and once the
+    budget is spent every further deblock attempt fails.  The budget *is*
+    reached in practice: on the converged trees of ``erdos_renyi_sparse``
+    n=16 (seeds 1-2) and n=20 (seed 1) the default runs out, and 10x or
+    100x the budget gives the same verdict (no plan) without finishing the
+    search either.  The verdict therefore depends on the budget and on the
+    order in which the search spends it, both of which are part of this
+    function's contract.
     """
     index = TreeIndex(graph, tree_edges)
     k = index.tree_degree()
@@ -291,21 +408,18 @@ def plan_improvement(graph: nx.Graph, tree_edges: Iterable[Edge],
     for edge in index.non_tree_edges():
         u, v = edge
         path = index.cycle_path(u, v)
-        interior = [w for w in path if w not in (u, v)]
-        if not any(index.degree[w] == k for w in interior):
+        if not any(index.degree[w] == k for w in path[1:-1]):
             continue
         if max(index.degree[u], index.degree[v]) >= k:
             continue  # an endpoint already has maximum degree: never improvable
-        chain = _plan_endpoints(index, edge, k, frozenset(), budget)
-        if chain is None:
+        planned = _plan_endpoints(index, edge, k, frozenset(), budget)
+        if planned is None:
             continue
-        sim = index.copy()
-        for move in chain:
-            sim.apply(move)
+        chain, sim = planned
         if max(sim.degree[u], sim.degree[v]) > k - 2:
             continue
         path_now = sim.cycle_path(u, v)
-        max_now = [w for w in path_now if w not in (u, v) and sim.degree[w] == k]
+        max_now = [w for w in path_now[1:-1] if sim.degree[w] == k]
         if not max_now:
             # The chain already reduced every max-degree node on this cycle --
             # that is progress in itself; report the chain if non-empty.
@@ -314,8 +428,7 @@ def plan_improvement(graph: nx.Graph, tree_edges: Iterable[Edge],
             continue
         w = min(max_now)
         remove = _pick_cycle_edge_incident_to(sim, path_now, w)
-        return chain + [Move(add=canonical_edge(u, v), remove=remove,
-                             target=w, kind="improve")]
+        return chain + [Move(add=edge, remove=remove, target=w, kind="improve")]
     return None
 
 

@@ -13,7 +13,12 @@ A configuration is *legitimate* when
 
 The first two conditions are cheap; the third calls the chain planner of
 :mod:`repro.core.improvement` and is therefore only evaluated when the first
-two hold.
+two hold.  Condition 3 as checked means "no chain found within the
+planner's ``max_plan_nodes`` budget", and that budget does run out: on the
+converged trees of ``erdos_renyi_sparse`` n=16 (seeds 1-2) and n=20 (seed 1)
+the default search stops on the budget, and 10x or 100x the budget stops on
+it too, with the same verdict (no chain).  The budget and the order in which
+the search spends it are thus part of what "legitimate" means here.
 
 Kernel integration: every stage accepts the pre-computed per-node snapshot
 mapping so a full evaluation traverses the network exactly once (the kernel

@@ -2,9 +2,12 @@
 
 from __future__ import annotations
 
+import inspect
+
 import networkx as nx
 import pytest
 
+from repro.core import improvement
 from repro.exceptions import NotASpanningTreeError
 from repro.graphs import (
     bfs_spanning_tree,
@@ -188,3 +191,36 @@ class TestPlanning:
             tree = apply_moves(g, tree, plan)
         assert plans
         assert tree_degree(g.nodes, tree) <= exact_mdst_degree(g) + 1
+
+
+class TestPlanBudget:
+    """The ``max_plan_nodes`` budget is reached on real converged trees."""
+
+    #: The tree the MDST protocol converges to on erdos_renyi_sparse n=16
+    #: seed 1 (synchronous scheduler, isolated start).
+    CONVERGED = [(0, 6), (0, 7), (1, 12), (1, 13), (2, 10), (2, 14), (3, 11),
+                 (4, 5), (4, 13), (5, 8), (7, 15), (8, 9), (9, 15), (10, 12),
+                 (11, 13)]
+
+    @staticmethod
+    def _plan_and_budget_left(monkeypatch, graph, tree, budget):
+        budgets = []
+        real = improvement._plan_deblock
+
+        def spy(index, w, k, stack, left):
+            budgets.append(left)
+            return real(index, w, k, stack, left)
+
+        with monkeypatch.context() as m:
+            m.setattr(improvement, "_plan_deblock", spy)
+            plan = plan_improvement(graph, tree, max_plan_nodes=budget)
+        return plan, budgets[-1][0]
+
+    def test_default_budget_runs_out_and_ten_times_more_agrees(self, monkeypatch):
+        g = make_graph("erdos_renyi_sparse", 16, seed=1)
+        assert is_spanning_tree(g, self.CONVERGED)
+        default = inspect.signature(plan_improvement).parameters["max_plan_nodes"].default
+        for budget in (default, 10 * default):
+            plan, left = self._plan_and_budget_left(monkeypatch, g, self.CONVERGED, budget)
+            assert plan is None
+            assert left == 0, budget  # the budget ran out before the search finished

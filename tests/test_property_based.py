@@ -11,7 +11,10 @@ properties check the structural invariants the whole system rests on:
   monotonicity of the maximum degree;
 * the reference engine's fixpoint satisfies the Δ*+1 guarantee on instances
   small enough for the exact solver;
-* message size estimation is monotone in the path length (O(n log n) claim).
+* message size estimation is monotone in the path length (O(n log n) claim);
+* the :class:`~repro.core.improvement.TreeIndex` path primitives agree with
+  a from-scratch search, stay fresh across ``copy()``/``apply()``, and keep
+  their behaviour on edge sets that are not trees.
 """
 
 from __future__ import annotations
@@ -22,8 +25,9 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.baselines import exact_mdst_degree
 from repro.core import ReferenceMDST
-from repro.core.improvement import TreeIndex, apply_moves, plan_improvement
+from repro.core.improvement import Move, TreeIndex, apply_moves, plan_improvement
 from repro.core.messages import Search
+from repro.exceptions import NotASpanningTreeError
 from repro.graphs import (
     bfs_spanning_tree,
     fundamental_cycle,
@@ -138,3 +142,95 @@ def test_tree_index_degree_bookkeeping_consistent(g):
         for move in plan:
             index.apply(move)
         assert index.degree == tree_degrees(g.nodes, index.tree_edges)
+
+
+# -- TreeIndex path primitives -----------------------------------------------------
+
+def _assert_index_answers(index: TreeIndex, g: nx.Graph, edges) -> None:
+    """Every path query on ``index`` matches a search over ``edges``."""
+    tree = nx.Graph(list(edges))
+    tree.add_nodes_from(g.nodes)
+    nodes = sorted(g.nodes)
+    for a in nodes:
+        for b in nodes:
+            path = nx.shortest_path(tree, a, b)
+            assert index.cycle_path(a, b) == path
+            for w in nodes:
+                assert index.is_interior(w, a, b) == (w in path[1:-1])
+    non_tree = index.non_tree_edges()
+    for w in nodes:
+        assert index.cycles_through(w) == tuple(
+            e for e in non_tree if w in nx.shortest_path(tree, *e)[1:-1])
+
+
+@SETTINGS
+@given(connected_graphs(max_nodes=9), st.integers(0, 2**31 - 1))
+def test_tree_index_paths_match_a_fresh_search(g, seed):
+    tree = random_spanning_tree(g, seed=seed)
+    index = TreeIndex(g, tree)
+    _assert_index_answers(index, g, tree)
+    graph_edges = {tuple(sorted(e)) for e in g.edges}
+    assert index.non_tree_edges() == sorted(graph_edges - set(tree))
+
+
+@SETTINGS
+@given(connected_graphs(max_nodes=9), st.integers(0, 2**31 - 1), st.data())
+def test_tree_index_layouts_stay_fresh_across_copy_and_apply(g, seed, data):
+    tree = random_spanning_tree(g, seed=seed)
+    index = TreeIndex(g, tree)
+    extra = index.non_tree_edges()
+    if not extra:
+        return
+    path = index.cycle_path(*data.draw(st.sampled_from(extra)))
+    i = data.draw(st.integers(0, len(path) - 2))
+    move = Move(add=tuple(sorted((path[0], path[-1]))),
+                remove=tuple(sorted(path[i:i + 2])), target=path[i])
+    _assert_index_answers(index, g, tree)  # warm the shared layout and memo
+    clone = index.copy()
+    clone.apply(move)
+    _assert_index_answers(index, g, tree)
+    _assert_index_answers(clone, g, clone.tree_edges)
+    # ... and the other way round: mutating the original leaves a warm copy be.
+    twin = index.copy()
+    index.apply(move)
+    _assert_index_answers(twin, g, tree)
+    _assert_index_answers(index, g, clone.tree_edges)
+
+
+@SETTINGS
+@given(connected_graphs(max_nodes=9), st.integers(0, 2**31 - 1), st.data())
+def test_tree_index_on_edges_with_a_cycle_roots_every_component(g, seed, data):
+    """n-1 graph edges that close a cycle leave the nodes in two or more
+    components: pairs within one still get a path along the edges, pairs
+    across components raise."""
+    tree = random_spanning_tree(g, seed=seed)
+    extra = sorted(non_tree_edges(g, tree))
+    if not extra:
+        return
+    add = data.draw(st.sampled_from(extra))
+    cycle = fundamental_cycle(tree, add)
+    off_cycle = sorted(set(tree) - {tuple(sorted(p)) for p in zip(cycle, cycle[1:])})
+    if not off_cycle:
+        return
+    drop = data.draw(st.sampled_from(off_cycle))
+    edges = (set(tree) - {drop}) | {add}
+    index = TreeIndex(g, edges)
+    forest = nx.Graph(list(edges))
+    forest.add_nodes_from(g.nodes)
+    component = {v: i for i, comp in enumerate(nx.connected_components(forest))
+                 for v in comp}
+    assert len(set(component.values())) >= 2
+    nodes = sorted(g.nodes)
+    for a in nodes:
+        for b in nodes:
+            if a != b and component[a] != component[b]:
+                with pytest.raises(NotASpanningTreeError):
+                    index.cycle_path(a, b)
+                w = next(x for x in nodes if x not in (a, b))
+                with pytest.raises(NotASpanningTreeError):
+                    index.is_interior(w, a, b)
+                continue
+            path = index.cycle_path(a, b)
+            assert path[0] == a and path[-1] == b
+            assert len(set(path)) == len(path)
+            assert all(forest.has_edge(x, y) for x, y in zip(path, path[1:]))
