@@ -7,7 +7,8 @@ generators in :mod:`repro.graphs.fast_generators` produce and what the
 CSR-direct array-network build path in :mod:`repro.sim.array_kernel`
 consumes: the cached CSR adjacency built here *is* the kernel topology, so
 at n = 10k+ a network materializes without ever touching
-:mod:`networkx`.
+:mod:`networkx`.  :meth:`EdgeArrayGraph.csr` is the package's one CSR
+builder: the array kernels lay out nx inputs through it too.
 
 Every consumer that genuinely needs an object graph keeps working: the
 container materializes (and caches) an equivalent :class:`networkx.Graph`

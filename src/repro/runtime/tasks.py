@@ -437,12 +437,13 @@ def run_throughput_task(spec: RunSpec) -> RunOutcome:
     if profile_top > 0:
         import cProfile
         if config.backend == "array":
-            # The array modules (and scipy underneath them) import lazily
-            # on first use inside run_protocol.  In a cold process that
-            # one-time import storm lands inside the profiled region and
-            # drowns the vectorized round loop in importlib frames, so
-            # warm it up before the profiler starts counting.
-            import scipy.sparse              # noqa: F401
+            # The array modules, and numpy.ma under the CSR layout's
+            # np.unique, import lazily on first use inside run_protocol.
+            # In a cold process that one-time import storm lands inside
+            # the profiled region and drowns the vectorized round loop in
+            # importlib frames, so warm it up before the profiler starts
+            # counting.
+            import numpy.ma                  # noqa: F401
             import repro.sim.array_engine    # noqa: F401
             import repro.sim.array_kernel    # noqa: F401
             import repro.sim.array_substrates  # noqa: F401

@@ -143,7 +143,7 @@ class MDSTArrayOps:
         override the column scatter.
         """
         k = self.kernel
-        src_idx = k.nbr_node_idx[P]
+        src_idx = k.nbr_idx[P]
         k.v_root[P] = k.g_root[src_idx]
         k.v_parent[P] = k.g_parent[src_idx]
         k.v_distance[P] = k.g_distance[src_idx]

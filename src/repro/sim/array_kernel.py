@@ -7,10 +7,15 @@ throughput ceiling (BENCH_scaling.json).  This module provides the
 :class:`~repro.sim.network.Network` / :class:`~repro.sim.scheduler.Scheduler`
 contracts:
 
-* **Topology** lives in a CSR adjacency structure (built through
-  :mod:`scipy.sparse` when available): ``indptr``/``nbr_idx``/``nbr_ids``
-  arrays over the sorted node ids, plus a flat edge -> view-row index shared
-  by every vectorized pass.
+* **Topology** lives in a CSR adjacency structure (:class:`CSRTopology`,
+  shared with the substrate kernels of :mod:`.array_substrates`):
+  ``indptr``/``nbr_idx``/``nbr_ids`` arrays over the sorted node ids, plus
+  a flat edge -> view-row index shared by every vectorized pass.
+  :func:`csr_topology` lays out an nx graph or an
+  :class:`~repro.graphs.edge_array.EdgeArrayGraph` through the one CSR
+  builder, :meth:`~repro.graphs.edge_array.EdgeArrayGraph.csr`, and
+  :class:`ArrayNetwork` builds its per-object maps lazily for either
+  input.
 * **Node state** is a set of flat numpy columns -- one per slotted
   :class:`~repro.core.state.MDSTState` field (``root``, ``parent``,
   ``distance``, ``sub_max``, ``dmax``, ``color``) -- and the cached
@@ -46,6 +51,7 @@ configuration (see ``tests/test_array_kernel.py``).
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import itertools
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -55,8 +61,9 @@ import numpy as np
 
 from ..core.messages import Deblock, MInfo, Search, UpdateDist
 from ..core.node_algorithm import MDSTNode
-from ..exceptions import ProtocolError, SimulationError
+from ..exceptions import SimulationError
 from ..graphs.edge_array import EdgeArrayGraph
+from ..graphs.validation import check_network
 from ..types import NodeId
 from .channel import Channel
 from .messages import GarbageMessage
@@ -71,7 +78,9 @@ __all__ = [
     "ArrayMDSTNode",
     "ArrayNetwork",
     "ArraySyncScheduler",
+    "CSRTopology",
     "build_array_mdst_network",
+    "csr_topology",
 ]
 
 _I64 = np.int64
@@ -84,54 +93,118 @@ def _minfo_bits_for(network_size: int) -> int:
                  dmax=0, color=False).size_bits(network_size)
 
 
-def _build_csr(graph: nx.Graph, node_ids: List[NodeId]):
-    """CSR adjacency (indptr, neighbour indices, neighbour ids) over sorted ids.
+def csr_topology(graph: "nx.Graph | EdgeArrayGraph"):
+    """Lay out ``graph`` as CSR adjacency over its sorted node ids.
 
-    Goes through :mod:`scipy.sparse` when available (the exemplar layout --
-    APGL's sparse-matrix graphs); otherwise assembles the same arrays
-    directly.  Neighbour lists come out sorted by id either way, matching
-    the insertion order of the object backend's per-node view dicts.
+    Returns ``(node_ids, index, indptr, nbr_idx, nbr_ids, edges)``:
+    ``index`` maps a node id to its row, ``nbr_idx``/``nbr_ids`` hold each
+    row's neighbours as row indices and as ids (sorted by id, matching the
+    insertion order of the object backend's per-node view dicts), and
+    ``edges`` is the input's own ``(u, v)`` endpoint-array pair in its edge
+    iteration order -- the order the object kernel creates channels in.
+
+    An :class:`~repro.graphs.edge_array.EdgeArrayGraph` is its own layout;
+    an nx graph is mapped to row indices and laid out through the same
+    :meth:`~repro.graphs.edge_array.EdgeArrayGraph.csr`.  When the ids are
+    the contiguous ``0..n-1``, ids and row indices coincide and one array
+    serves as both.
     """
-    n = len(node_ids)
+    if isinstance(graph, EdgeArrayGraph):
+        node_ids = list(range(graph.n))
+        edges = (graph.edges_u, graph.edges_v)
+        layout = graph
+    else:
+        node_ids = sorted(graph.nodes)
+        ends = np.array(list(graph.edges), dtype=_I64).reshape(-1, 2)
+        edges = (ends[:, 0], ends[:, 1])
+        rows = np.searchsorted(np.asarray(node_ids, dtype=_I64), ends)
+        layout = EdgeArrayGraph(len(node_ids), rows[:, 0], rows[:, 1],
+                                validate=False)
+    indptr, nbr_idx = layout.csr()
     index = {v: i for i, v in enumerate(node_ids)}
-    try:  # pragma: no cover - exercised when scipy is installed (CI lane)
-        from scipy.sparse import csr_matrix
-
-        rows, cols = [], []
-        for u, v in graph.edges:
-            ui, vi = index[u], index[v]
-            rows.append(ui)
-            cols.append(vi)
-            rows.append(vi)
-            cols.append(ui)
-        data = np.ones(len(rows), dtype=np.int8)
-        adj = csr_matrix((data, (rows, cols)), shape=(n, n))
-        adj.sort_indices()
-        indptr = adj.indptr.astype(_I64)
-        nbr_idx = adj.indices.astype(_I64)
-    except ImportError:
-        counts = np.zeros(n + 1, dtype=_I64)
-        for u, v in graph.edges:
-            counts[index[u] + 1] += 1
-            counts[index[v] + 1] += 1
-        indptr = np.cumsum(counts).astype(_I64)
-        nbr_idx = np.zeros(int(indptr[-1]), dtype=_I64)
-        cursor = indptr[:-1].copy()
-        for u, v in graph.edges:
-            ui, vi = index[u], index[v]
-            nbr_idx[cursor[ui]] = vi
-            cursor[ui] += 1
-            nbr_idx[cursor[vi]] = ui
-            cursor[vi] += 1
-        for i in range(n):
-            seg = nbr_idx[indptr[i]:indptr[i + 1]]
-            seg.sort()
-    ids = np.asarray(node_ids, dtype=_I64)
-    nbr_ids = ids[nbr_idx]
-    return index, indptr, nbr_idx, nbr_ids
+    nbr_ids = (nbr_idx if node_ids == list(range(len(node_ids)))
+               else np.asarray(node_ids, dtype=_I64)[nbr_idx])
+    return node_ids, index, indptr, nbr_idx, nbr_ids, edges
 
 
-class ArrayKernel:
+class CSRTopology:
+    """Frozen CSR topology plus the flat-row geometry the column kernels share.
+
+    Every column kernel (:class:`ArrayKernel` and the substrate kernels of
+    :mod:`.array_substrates`) stores its per-edge views as columns over the
+    flat rows laid out here: row ``f`` of node index ``i`` lies in
+    ``indptr[i]:indptr[i + 1]`` and views neighbour ``nbr_ids[f]``.
+    """
+
+    def __init__(self, graph: "nx.Graph | EdgeArrayGraph"):
+        (self.node_ids, self.index, self.indptr, self.nbr_idx, self.nbr_ids,
+         self.edges) = csr_topology(graph)
+        self.n = len(self.node_ids)
+        self.ids = np.asarray(self.node_ids, dtype=_I64)
+        total = int(self.indptr[-1])
+        self.total = total
+        self._row_counts = np.diff(self.indptr)
+        #: id of the owning node for every flat view row.
+        self.row_owner = np.repeat(self.ids, self._row_counts)
+        # (owner index, neighbour id) -> flat row, as a sorted key array so a
+        # batch of parent pointers resolves with one searchsorted.  Neighbour
+        # ids are offset into [0, _key_mod); a (possibly corrupted) pointer
+        # outside that range is no neighbour id and never gets a key.
+        lo = int(self.ids.min(initial=0))
+        self._key_off = -lo
+        self._key_mod = int(self.ids.max(initial=0)) - lo + 1
+        owner_idx = np.repeat(np.arange(self.n, dtype=_I64), self._row_counts)
+        self.flat_keys = owner_idx * self._key_mod + (self.nbr_ids + self._key_off)
+        self._full_flat = np.arange(total, dtype=_I64)
+        self._full_starts = self.indptr[:-1].astype(np.intp)
+        self._all_idx = np.arange(self.n, dtype=_I64)
+
+    @functools.cached_property
+    def pos(self) -> Dict[Tuple[NodeId, NodeId], int]:
+        """Scalar-path lookup ``(owner id, neighbour id) -> flat view row``.
+
+        Row order follows the CSR layout (owner-major, neighbour-id minor).
+        Built on first use -- typically when the first channel materializes
+        -- so *construction* stays free of per-edge Python dict fills.
+        """
+        return dict(zip(zip(self.row_owner.tolist(), self.nbr_ids.tolist()),
+                        range(self.total)))
+
+    def rows_of(self, S: np.ndarray):
+        """Flat view rows of the node-index subset ``S`` plus segment starts.
+
+        Returns ``(flat, starts, counts)`` where ``flat`` concatenates each
+        node's CSR segment (neighbour-id order) and ``starts`` indexes the
+        segment boundaries inside ``flat`` -- the shape every
+        ``ufunc.reduceat`` segment reduction consumes.
+        """
+        if len(S) == self.n:
+            return self._full_flat, self._full_starts, self._row_counts
+        counts = self.indptr[S + 1] - self.indptr[S]
+        total = int(counts.sum())
+        starts = np.zeros(len(S), dtype=_I64)
+        np.cumsum(counts[:-1], out=starts[1:])
+        flat = (np.repeat(self.indptr[S] - starts, counts)
+                + np.arange(total, dtype=_I64))
+        return flat, starts.astype(np.intp), counts
+
+    def parent_rows(self, S: np.ndarray, parents: np.ndarray):
+        """Flat view row of each node's parent pointer (or -1 when absent).
+
+        ``parents`` may hold arbitrary (corrupted) integers; anything that is
+        not a current neighbour id of the owning node resolves to -1, the
+        vector analogue of ``state.view.get(parent) is None``.
+        """
+        shifted = parents + self._key_off
+        in_range = (shifted >= 0) & (shifted < self._key_mod)
+        qkeys = S * self._key_mod + np.where(in_range, shifted, 0)
+        pos = np.searchsorted(self.flat_keys, qkeys)
+        pos_c = np.minimum(pos, self.total - 1)
+        valid = in_range & (pos < self.total) & (self.flat_keys[pos_c] == qkeys)
+        return np.where(valid, pos_c, -1), valid
+
+
+class ArrayKernel(CSRTopology):
     """The shared column store: CSR topology plus flat state columns.
 
     One instance backs every :class:`ArrayBackedState` of a network; the
@@ -139,31 +212,9 @@ class ArrayKernel:
     """
 
     def __init__(self, graph: "nx.Graph | EdgeArrayGraph", n_upper: int):
-        if isinstance(graph, EdgeArrayGraph):
-            # CSR-direct: the container's cached CSR *is* the kernel
-            # topology.  Node ids are the contiguous 0..n-1, so index,
-            # neighbour indices and neighbour ids all coincide and no
-            # per-edge Python loop runs.
-            self.node_ids = list(range(graph.n))
-            self.n = graph.n
-            self.n_upper = int(n_upper)
-            indptr, nbr = graph.csr()
-            self.index = {v: v for v in self.node_ids}
-            self.indptr = indptr
-            self.nbr_idx = nbr
-            self.nbr_ids = nbr
-        else:
-            self.node_ids = sorted(graph.nodes)
-            self.n = len(self.node_ids)
-            self.n_upper = int(n_upper)
-            self.index, self.indptr, self.nbr_idx, self.nbr_ids = _build_csr(
-                graph, self.node_ids)
-        self.ids = np.asarray(self.node_ids, dtype=_I64)
-        total = int(self.indptr[-1])
-        self.total = total
-        #: id of the owning node for every flat view row.
-        self.row_owner = np.repeat(
-            self.ids, np.diff(self.indptr).astype(_I64))
+        super().__init__(graph)
+        self.n_upper = int(n_upper)
+        total = self.total
         # -- own-state columns (MDSTState slots) --------------------------------
         self.root = self.ids.copy()
         self.parent = self.ids.copy()
@@ -211,82 +262,6 @@ class ArrayKernel:
         self.go_sub_max = np.zeros(self.n, dtype=_I64)
         self.go_dmax = np.zeros(self.n, dtype=_I64)
         self.go_color = np.zeros(self.n, dtype=bool)
-        #: node *index* (not id) of the neighbour at each flat view row.
-        #: ``nbr_ids = ids[nbr_idx]`` with ``ids`` sorted and unique, so the
-        #: index of each neighbour id is just ``nbr_idx`` itself (both
-        #: arrays are frozen topology; sharing is safe).
-        self.nbr_node_idx = self.nbr_idx
-        # -- flat position lookup -----------------------------------------------
-        # (owner index, neighbour id) -> flat row, as a sorted key array so a
-        # batch of parent pointers resolves with one searchsorted.  Keys are
-        # offset to stay non-negative for every value a (possibly corrupted)
-        # pointer can take.
-        lo = int(min(self.ids.min(initial=0), -5)) - 1
-        hi = int(max(self.ids.max(initial=0), self.n_upper + 5)) + 1
-        self._key_off = -lo
-        self._key_mod = hi - lo + 1
-        owner_idx = np.repeat(np.arange(self.n, dtype=_I64),
-                              np.diff(self.indptr).astype(_I64))
-        self.flat_keys = owner_idx * self._key_mod + (self.nbr_ids + self._key_off)
-        # Scalar-path position lookup, built lazily (see the ``pos``
-        # property): construction never needs it, and the CSR-direct build
-        # path must stay free of per-edge Python dict fills.
-        self._pos_cache: Optional[Dict[Tuple[NodeId, NodeId], int]] = None
-        self._full_flat = np.arange(total, dtype=_I64)
-        self._full_starts = self.indptr[:-1].astype(np.intp)
-        self._all_idx = np.arange(self.n, dtype=_I64)
-        self._row_counts = np.diff(self.indptr).astype(_I64)
-
-    @property
-    def pos(self) -> Dict[Tuple[NodeId, NodeId], int]:
-        """Scalar-path lookup ``(owner id, neighbour id) -> flat view row``.
-
-        Row order follows the CSR layout (owner-major, neighbour-id minor),
-        exactly the order the eager per-edge fill used to produce.  Built on
-        first use -- typically when the first channel materializes -- so
-        network *construction* stays O(arrays).
-        """
-        p = self._pos_cache
-        if p is None:
-            p = dict(zip(zip(self.row_owner.tolist(), self.nbr_ids.tolist()),
-                         range(self.total)))
-            self._pos_cache = p
-        return p
-
-    # -- flat-row geometry -----------------------------------------------------
-
-    def rows_of(self, S: np.ndarray):
-        """Flat view rows of the node-index subset ``S`` plus segment starts.
-
-        Returns ``(flat, starts, counts)`` where ``flat`` concatenates each
-        node's CSR segment (neighbour-id order) and ``starts`` indexes the
-        segment boundaries inside ``flat`` -- the shape every
-        ``ufunc.reduceat`` segment reduction below consumes.
-        """
-        if len(S) == self.n:
-            return self._full_flat, self._full_starts, self._row_counts
-        counts = (self.indptr[S + 1] - self.indptr[S]).astype(_I64)
-        total = int(counts.sum())
-        starts = np.zeros(len(S), dtype=_I64)
-        np.cumsum(counts[:-1], out=starts[1:])
-        flat = (np.repeat(self.indptr[S] - starts, counts)
-                + np.arange(total, dtype=_I64))
-        return flat, starts.astype(np.intp), counts
-
-    def parent_rows(self, S: np.ndarray, parents: np.ndarray):
-        """Flat view row of each node's parent pointer (or -1 when absent).
-
-        ``parents`` may hold arbitrary (corrupted) integers; anything that is
-        not a current neighbour id of the owning node resolves to -1, the
-        vector analogue of ``state.view.get(parent) is None``.
-        """
-        shifted = parents + self._key_off
-        in_range = (shifted >= 0) & (shifted < self._key_mod)
-        qkeys = S * self._key_mod + np.where(in_range, shifted, 0)
-        pos = np.searchsorted(self.flat_keys, qkeys)
-        pos_c = np.minimum(pos, self.total - 1)
-        valid = in_range & (pos < self.total) & (self.flat_keys[pos_c] == qkeys)
-        return np.where(valid, pos_c, -1), valid
 
     # -- vectorized rule evaluation --------------------------------------------
 
@@ -1068,7 +1043,7 @@ def account_dropped_deliveries(network: Network,
 class _LazyMap(dict):
     """A fixed-key mapping whose values materialize on first access.
 
-    Backs the CSR-direct build path's ``processes`` / ``channels`` /
+    Backs :class:`ArrayNetwork`'s ``processes`` / ``channels`` /
     ``adjacency`` maps: the key set is frozen at construction (the array
     topology is immutable), values are built by ``factory(key)`` on first
     ``[]`` and cached in the underlying dict.  Iteration and membership
@@ -1149,11 +1124,11 @@ class ArrayNetwork(Network):
     def __init__(self, graph: "nx.Graph | EdgeArrayGraph", *, n_upper: int,
                  search_period: int = 3, deblock_cooldown: int = 30,
                  enable_reduction: bool = True):
-        # Backing stores for the ``graph`` / ``_channel_order`` properties
-        # (the CSR-direct path materializes both lazily).
-        self._graph_store: Optional[nx.Graph] = None
-        self._channel_order_store: Optional[Dict] = None
-        self._edge_arrays: Optional[EdgeArrayGraph] = None
+        if isinstance(graph, EdgeArrayGraph):
+            graph.validate()  # connectivity (cheap union-find; cached)
+        else:
+            check_network(graph)
+        self._source_graph = graph
         self.kernel = ArrayKernel(graph, n_upper)
         self._enable_reduction = enable_reduction
         kernel = self.kernel
@@ -1179,82 +1154,41 @@ class ArrayNetwork(Network):
         self._all_deliv_cache = None
         #: Lazy per-row structures for the virtual-gossip machinery.
         self._vg_structs_cache = None
-
-        def factory(node_id: NodeId, neighbors: Sequence[NodeId]) -> ArrayMDSTNode:
-            return ArrayMDSTNode(node_id, neighbors, kernel, n_upper=n_upper,
-                                 search_period=search_period,
-                                 deblock_cooldown=deblock_cooldown,
-                                 enable_reduction=enable_reduction)
-
-        if isinstance(graph, EdgeArrayGraph):
-            self._init_from_arrays(graph, factory)
-        else:
-            super().__init__(graph, factory)
         #: Lazily built per-node channel lists for the sync fast path.
         self._sync_structs_cache = None
         #: ``snapshot_key`` cache: ``(version, key)`` over the state columns.
         self._acols_key_cache = None
 
-    def _init_from_arrays(self, eg: EdgeArrayGraph,
-                          factory: "ProcessFactory") -> None:
-        """CSR-direct construction: :class:`Network.__init__` field for
-        field, with the per-object maps replaced by lazy ones.
-
-        No process, state view, channel or nx structure is built here --
-        only the frozen key lists.  Processes materialize when the
-        simulator starts them, channels when the first round's structures
-        are assembled, so *construction* cost is O(arrays) regardless of
-        ``n`` and ``m``.
-        """
-        eg.validate()  # connectivity (cheap union-find; no-op if validated)
-        self._edge_arrays = eg
-        k = self.kernel
-        self.n = k.n
-        self.m = eg.number_of_edges()
-        self.node_ids = list(k.node_ids)
-        indptr, nbr = k.indptr, k.nbr_ids
+        # :class:`Network.__init__` with the per-object maps replaced by lazy
+        # ones: no process, state view, channel or nx structure is built
+        # here, only the frozen key lists.  Processes materialize when the
+        # simulator starts them, channels when the first round's structures
+        # are assembled, so *construction* cost is O(arrays).
+        self.n = kernel.n
+        self.m = len(kernel.edges[0])
+        self.node_ids = list(kernel.node_ids)
+        indptr, nbr, index = kernel.indptr, kernel.nbr_ids, kernel.index
 
         def adjacency_of(v: NodeId):
-            return tuple(nbr[int(indptr[v]):int(indptr[v + 1])].tolist())
+            i = index[v]
+            return tuple(nbr[int(indptr[i]):int(indptr[i + 1])].tolist())
 
         self.adjacency = _LazyMap(self.node_ids, adjacency_of)
-        self._process_factory = factory
+        self._process_factory = functools.partial(
+            ArrayMDSTNode, kernel=kernel, n_upper=n_upper,
+            search_period=search_period, deblock_cooldown=deblock_cooldown,
+            enable_reduction=enable_reduction)
         self.processes = _LazyMap(self.node_ids, self._make_process)
-        self._version = 0
-        self._topology_version = 0
-        self._graph_owned = False
-        self.dropped_messages = 0
-        self._retired_messages_sent = 0
-        self._retired_max_message_bits = 0
-        self._disabled = set()
-        self._channel_model = None
-        self._active = set()
-        self._pending_total = 0
-        # _channel_order materializes from the edge arrays on first access;
-        # the sequence counter continues past the 2m construction slots.
-        self._channel_order_store = None
-        self._channel_seq = 2 * self.m
-        self._dirty = set(self.node_ids)
-        self._node_snaps = {}
-        self._node_views = {}
-        self._node_keys = {}
-        self._snaps_stale = True
-        self._snaps_view = None
-        self._snaps_version = -1
-        self._key_cache = None
-        self._nonempty_outboxes = 0
+        self._init_kernel_state()
         # Directed channel keys in creation order -- (u, v) then (v, u) per
-        # canonical edge -- assembled with C-level zips, no per-edge loop.
-        us, vs = eg.edges_u.tolist(), eg.edges_v.tolist()
+        # input edge -- assembled with C-level zips, no per-edge loop.
+        us, vs = kernel.edges[0].tolist(), kernel.edges[1].tolist()
         keys = itertools.chain.from_iterable(zip(zip(us, vs), zip(vs, us)))
         self.channels = _LazyMap(keys, self._make_channel)
 
     def _make_process(self, v: NodeId) -> ArrayMDSTNode:
         """Materialize node ``v``'s process (the lazy-map factory)."""
         proc = self._process_factory(v, self.adjacency[v])
-        if proc.node_id != v:
-            raise ProtocolError(
-                f"process factory returned node id {proc.node_id} for node {v}")
         proc.outbox.watch(self._outbox_changed)
         if len(proc.outbox):
             self._nonempty_outboxes += 1
@@ -1263,11 +1197,9 @@ class ArrayNetwork(Network):
     def _make_channel(self, key) -> "ArrayChannel":
         """Materialize one directed channel (the lazy-map factory).
 
-        Mirrors :meth:`_install_channel` minus the order/registration
-        bookkeeping, which the lazy maps carry structurally.  Virtual-gossip
-        counters are global (indexed by source and flat row), so a channel
-        materializing mid-run observes exactly the token history an eagerly
-        built one would have.
+        Virtual-gossip counters are global (indexed by source and flat
+        row), so a channel materializing mid-run observes exactly the token
+        history an eagerly built one would have.
         """
         src, dst = key
         channel = ArrayChannel(src, dst, self.n, self,
@@ -1278,47 +1210,26 @@ class ArrayNetwork(Network):
             channel.set_model(self._channel_model)
         return channel
 
-    # -- lazy structures of the CSR-direct path --------------------------------
+    # -- lazy structures -------------------------------------------------------
 
     @property
     def graph(self) -> nx.Graph:
-        """The nx view of the topology, materialized on first use.
+        """The nx view of the topology.
 
-        The CSR-direct path defers building it (legitimacy predicates and
-        fault planners are the consumers, none of which run at
-        construction); identity is stable after the first access, which the
-        identity-keyed predicate memos rely on.
+        An edge-array input builds it on first use (legitimacy predicates
+        and fault planners are the consumers, none of which run at
+        construction) and caches it, so identity is stable after the first
+        access, which the identity-keyed predicate memos rely on.
         """
-        g = self._graph_store
-        if g is None and self._edge_arrays is not None:
-            g = self._edge_arrays.to_networkx()
-            self._graph_store = g
-        return g
+        g = self._source_graph
+        return g.to_networkx() if isinstance(g, EdgeArrayGraph) else g
 
-    @graph.setter
-    def graph(self, value: nx.Graph) -> None:
-        self._graph_store = value
-
-    @property
+    @functools.cached_property
     def _channel_order(self) -> Dict:
-        """Channel-creation order; on the CSR-direct path it is derived
-        from the canonical edge arrays (edge ``i`` yields slots ``2i`` and
-        ``2i + 1``), exactly the order the eager loop would have minted."""
-        d = self._channel_order_store
-        if d is None:
-            eg = self._edge_arrays
-            d = {}
-            seq = 0
-            for a, b in zip(eg.edges_u.tolist(), eg.edges_v.tolist()):
-                d[(a, b)] = seq
-                d[(b, a)] = seq + 1
-                seq += 2
-            self._channel_order_store = d
-        return d
-
-    @_channel_order.setter
-    def _channel_order(self, value: Dict) -> None:
-        self._channel_order_store = value
+        """Channel-creation order, derived from the input's edge order
+        (edge ``i`` yields slots ``2i`` and ``2i + 1``), exactly the order
+        :class:`Network.__init__` would have minted."""
+        return {key: seq for seq, key in enumerate(self.channels)}
 
     def initialize_isolated_columns(self) -> None:
         """Vectorized twin of :func:`repro.core.protocol.initialize_isolated`.
@@ -1336,20 +1247,6 @@ class ArrayNetwork(Network):
         k.color[:] = True
         k.v_heard[:] = False
         self.note_state_write()
-
-    def _install_channel(self, key) -> Channel:
-        """Create an :class:`ArrayChannel` (virtual-gossip aware)."""
-        src, dst = key
-        channel = ArrayChannel(src, dst, self.n, self,
-                               int(self.kernel.index[src]),
-                               self.kernel.pos[(dst, src)])
-        channel.watch(self._channel_changed)
-        if self._channel_model is not None:
-            channel.set_model(self._channel_model)
-        self._channel_order[key] = self._channel_seq
-        self._channel_seq += 1
-        self.channels[key] = channel
-        return channel
 
     def _channel_changed(self, channel: Channel, delta: int) -> None:
         # The parent watcher keys the active set on channel truthiness;
@@ -1440,7 +1337,7 @@ class ArrayNetwork(Network):
                 lo, hi = int(k.indptr[i]), int(k.indptr[i + 1])
                 chans = tuple(
                     (channels[(int(k.nbr_ids[f]), dst)], f, int(k.nbr_ids[f]),
-                     int(k.nbr_node_idx[f]))
+                     int(k.nbr_idx[f]))
                     for f in range(lo, hi))
                 in_lists.append((dst, i, chans))
             out_lists = {
@@ -1465,8 +1362,8 @@ class ArrayNetwork(Network):
         cache = self._vg_structs_cache
         if cache is None:
             k = self.kernel
-            order = np.argsort(k.nbr_node_idx, kind="stable")
-            out_counts = np.bincount(k.nbr_node_idx,
+            order = np.argsort(k.nbr_idx, kind="stable")
+            out_counts = np.bincount(k.nbr_idx,
                                      minlength=k.n).astype(_I64)
             out_starts = np.zeros(k.n, dtype=_I64)
             np.cumsum(out_counts[:-1], out=out_starts[1:])
@@ -1559,7 +1456,7 @@ class ArrayNetwork(Network):
         if not self._vg_virtual_total:
             return
         k = self.kernel
-        pending = self._vg_sent_src[k.nbr_node_idx] - self._vg_del_row
+        pending = self._vg_sent_src[k.nbr_idx] - self._vg_del_row
         row_channel = self._vg_structs()[3]
         for row in np.nonzero(pending > 0)[0].tolist():
             self._materialize_channel(row_channel[row])
@@ -1580,7 +1477,7 @@ class ArrayNetwork(Network):
         dr = self._vg_del_row
         structs = self._vg_structs()
         if full:
-            stale = np.nonzero(dr < vm[k.nbr_node_idx] - 1)[0]
+            stale = np.nonzero(dr < vm[k.nbr_idx] - 1)[0]
         else:
             out_flat, out_starts, out_counts = structs[0], structs[1], structs[2]
             cnts = out_counts[S]
@@ -1589,7 +1486,7 @@ class ArrayNetwork(Network):
             np.cumsum(cnts[:-1], out=starts[1:])
             R = out_flat[np.repeat(out_starts[S] - starts, cnts)
                          + np.arange(tot, dtype=_I64)]
-            stale = R[dr[R] < vm[k.nbr_node_idx[R]] - 1]
+            stale = R[dr[R] < vm[k.nbr_idx[R]] - 1]
         if len(stale):
             row_channel = structs[3]
             for row in stale.tolist():
@@ -1648,7 +1545,7 @@ class ArrayNetwork(Network):
         if not self._vg_virtual_total:
             return super().enabled_deliveries()
         k = self.kernel
-        counts = self._vg_sent_src[k.nbr_node_idx] - self._vg_del_row
+        counts = self._vg_sent_src[k.nbr_idx] - self._vg_del_row
         if (not self._active and not self._disabled
                 and self._vg_virtual_total == k.total
                 and bool((counts == 1).all())):
@@ -1748,7 +1645,7 @@ class ArrayNetwork(Network):
         ntok = 0
         virt_total = self._vg_virtual_total
         if (not active and virt_total == k.total
-                and bool((vm[k.nbr_node_idx] - dr == 1).all())):
+                and bool((vm[k.nbr_idx] - dr == 1).all())):
             # Steady state: every destination's backlog is exactly one
             # (current-generation) token per in-edge, so the geometry is the
             # cached full CSR layout.
@@ -1767,7 +1664,7 @@ class ArrayNetwork(Network):
                 # flight on one channel (each round drains everything the
                 # previous round minted); materialize the exception so the
                 # single-token fast geometry below stays sound.
-                multi = np.nonzero(vm[k.nbr_node_idx] - dr > 1)[0]
+                multi = np.nonzero(vm[k.nbr_idx] - dr > 1)[0]
                 if len(multi):
                     row_channel = self._vg_structs()[3]
                     for row in multi.tolist():
@@ -1775,7 +1672,7 @@ class ArrayNetwork(Network):
             mixed_idx = (sorted({int(k.index[d]) for (_, d) in active})
                          if active else [])
             if self._vg_virtual_total:
-                tok_mask = vm[k.nbr_node_idx] > dr
+                tok_mask = vm[k.nbr_idx] > dr
                 for i in mixed_idx:
                     tok_mask[int(k.indptr[i]):int(k.indptr[i + 1])] = False
                 counts_all = np.add.reduceat(tok_mask.astype(_I64),
@@ -1822,7 +1719,7 @@ class ArrayNetwork(Network):
             self._version += delivered
         # -- phase 2a: pure-gossip destinations, fully vectorized --------------
         if ntok:
-            nbr_node_idx = k.nbr_node_idx
+            nbr_idx = k.nbr_idx
             for j in range(int(counts.max())):
                 if j == 0:
                     P = rows[starts]
@@ -1831,7 +1728,7 @@ class ArrayNetwork(Network):
                     m = counts > j
                     P = rows[starts[m] + j]
                     S = dsti_arr[m]
-                src_idx = nbr_node_idx[P]
+                src_idx = nbr_idx[P]
                 nr = k.g_root[src_idx]
                 npa = k.g_parent[src_idx]
                 nd = k.g_distance[src_idx]
@@ -1908,7 +1805,7 @@ class ArrayNetwork(Network):
                 break
             if batch_rows:
                 P = np.asarray(batch_rows, dtype=np.intp)
-                src_idx = k.nbr_node_idx[P]
+                src_idx = k.nbr_idx[P]
                 k.v_root[P] = k.g_root[src_idx]
                 k.v_parent[P] = k.g_parent[src_idx]
                 k.v_distance[P] = k.g_distance[src_idx]
@@ -2087,10 +1984,10 @@ def build_array_mdst_network(graph: "nx.Graph | EdgeArrayGraph", *,
     """Build the array-backed MDST network (the adapter's ``backend="array"``
     counterpart of :func:`repro.core.protocol.build_mdst_network`).
 
-    Accepts either an ``nx.Graph`` (eager per-object construction) or an
-    :class:`~repro.graphs.edge_array.EdgeArrayGraph` (the CSR-direct fast
-    path: kernel columns come straight from the container's cached CSR and
-    the per-object maps materialize lazily)."""
+    Accepts either an ``nx.Graph`` or an
+    :class:`~repro.graphs.edge_array.EdgeArrayGraph` (whose cached CSR
+    becomes the kernel topology as is); either way the per-object maps
+    materialize lazily."""
     return ArrayNetwork(graph, n_upper=n_upper, search_period=search_period,
                         deblock_cooldown=deblock_cooldown,
                         enable_reduction=enable_reduction)

@@ -11,8 +11,9 @@ registry protocol.
 Design
 ------
 Each driver pairs a small column kernel (own-state and per-edge view
-columns over the same CSR geometry as :class:`~.array_kernel.ArrayKernel`)
-with *proxy-backed* processes: the real
+columns over :class:`~.array_kernel.CSRTopology`, the topology base
+:class:`~.array_kernel.ArrayKernel` builds on too) with *proxy-backed*
+processes: the real
 :class:`~repro.stabilization.spanning_tree.SpanningTreeProcess` /
 :class:`~repro.stabilization.pif.MaxDegreeProcess` classes run with their
 variables and neighbour views redirected into the columns.  Every scalar
@@ -41,7 +42,7 @@ that order.  ``sent``/``delivered``/``max_message_bits`` stay exact.
 
 from __future__ import annotations
 
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import List, Mapping, Optional, Sequence, Tuple
 
 import networkx as nx
 import numpy as np
@@ -50,7 +51,7 @@ from ..exceptions import SimulationError
 from ..stabilization.pif import DegreeInfo, MaxDegreeProcess
 from ..stabilization.spanning_tree import STInfo, SpanningTreeProcess
 from ..types import NodeId
-from .array_kernel import _build_csr
+from .array_kernel import CSRTopology
 from .messages import GarbageMessage
 from .network import Network
 
@@ -70,45 +71,7 @@ _INT_MAX = np.iinfo(np.int64).max
 _INT_MIN = np.iinfo(np.int64).min
 
 
-class SubstrateKernel:
-    """CSR topology plus the flat-row geometry helpers the drivers share."""
-
-    def __init__(self, graph: nx.Graph):
-        self.node_ids: List[NodeId] = sorted(graph.nodes)
-        self.n = len(self.node_ids)
-        self.index, self.indptr, self.nbr_idx, self.nbr_ids = _build_csr(
-            graph, self.node_ids)
-        self.ids = np.asarray(self.node_ids, dtype=_I64)
-        self.total = int(self.indptr[-1])
-        #: scalar-path lookup ``(owner id, neighbour id) -> flat row``.
-        self.pos: Dict[Tuple[NodeId, NodeId], int] = {}
-        for i, v in enumerate(self.node_ids):
-            for f in range(int(self.indptr[i]), int(self.indptr[i + 1])):
-                self.pos[(v, int(self.nbr_ids[f]))] = f
-        self._full_flat = np.arange(self.total, dtype=_I64)
-        self._full_starts = self.indptr[:-1].astype(np.intp)
-        self._all_idx = np.arange(self.n, dtype=_I64)
-        self._row_counts = np.diff(self.indptr).astype(_I64)
-
-    def rows_of(self, S: np.ndarray):
-        """Flat view rows of the node-index subset ``S`` plus segment starts.
-
-        Same shape contract as :meth:`~.array_kernel.ArrayKernel.rows_of`;
-        callers normalise a full-size ``S`` to the sorted index vector
-        before using the fast path.
-        """
-        if len(S) == self.n:
-            return self._full_flat, self._full_starts, self._row_counts
-        counts = (self.indptr[S + 1] - self.indptr[S]).astype(_I64)
-        total = int(counts.sum())
-        starts = np.zeros(len(S), dtype=_I64)
-        np.cumsum(counts[:-1], out=starts[1:])
-        flat = (np.repeat(self.indptr[S] - starts, counts)
-                + np.arange(total, dtype=_I64))
-        return flat, starts.astype(np.intp), counts
-
-
-class STKernel(SubstrateKernel):
+class STKernel(CSRTopology):
     """Column store + vectorized rules of the spanning-tree substrate."""
 
     def __init__(self, graph: nx.Graph, n_upper: int):
@@ -123,24 +86,6 @@ class STKernel(SubstrateKernel):
         self.v_parent = self.nbr_ids.copy()
         self.v_distance = np.zeros(self.total, dtype=_I64)
         self.v_heard = np.zeros(self.total, dtype=bool)
-        # -- parent-pointer lookup (same construction as ArrayKernel) -----------
-        lo = int(min(self.ids.min(initial=0), -5)) - 1
-        hi = int(max(self.ids.max(initial=0), self.n_upper + 5, 100)) + 1
-        self._key_off = -lo
-        self._key_mod = hi - lo + 1
-        owner_idx = np.repeat(np.arange(self.n, dtype=_I64),
-                              np.diff(self.indptr).astype(_I64))
-        self.flat_keys = owner_idx * self._key_mod + (self.nbr_ids + self._key_off)
-
-    def parent_rows(self, S: np.ndarray, parents: np.ndarray):
-        """Flat view row of each node's parent pointer (or -1 when absent)."""
-        shifted = parents + self._key_off
-        in_range = (shifted >= 0) & (shifted < self._key_mod)
-        qkeys = S * self._key_mod + np.where(in_range, shifted, 0)
-        pos = np.searchsorted(self.flat_keys, qkeys)
-        pos_c = np.minimum(pos, self.total - 1)
-        valid = in_range & (pos < self.total) & (self.flat_keys[pos_c] == qkeys)
-        return np.where(valid, pos_c, -1), valid
 
     def refresh(self, S: np.ndarray) -> None:
         """Vectorized ``SpanningTreeProcess.apply_rules`` over the subset ``S``.
@@ -233,7 +178,7 @@ class STKernel(SubstrateKernel):
                 dist[t2] = 0
 
 
-class PIFKernel(SubstrateKernel):
+class PIFKernel(CSRTopology):
     """Column store + vectorized aggregation of the max-degree substrate."""
 
     def __init__(self, graph: nx.Graph):
@@ -252,12 +197,8 @@ class PIFKernel(SubstrateKernel):
 
     def finalize(self) -> None:
         """Precompute parent rows once the processes copied the tree in."""
-        for i in range(self.n):
-            p = int(self.parent[i])
-            if p != int(self.ids[i]):
-                row = self.pos.get((self.node_ids[i], p))
-                if row is not None:
-                    self.parent_row[i] = row
+        rows, _ = self.parent_rows(self._all_idx, self.parent)
+        self.parent_row[:] = np.where(self.parent != self.ids, rows, -1)
 
     def refresh(self, S: np.ndarray) -> None:
         """Vectorized ``MaxDegreeProcess._recompute`` over the subset ``S``."""

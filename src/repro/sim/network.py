@@ -163,7 +163,25 @@ class Network:
                 raise ProtocolError(
                     f"process factory returned node id {proc.node_id} for node {v}")
             self.processes[v] = proc
-        # -- kernel state ------------------------------------------------------
+        self._init_kernel_state()
+        for proc in self.processes.values():
+            proc.outbox.watch(self._outbox_changed)
+        self._nonempty_outboxes = sum(
+            1 for proc in self.processes.values() if len(proc.outbox))
+        self._channel_order: Dict[ChannelKey, int] = {}
+        self._channel_seq = 0
+        # Two directed channels per undirected edge, watched for activity.
+        self.channels: Dict[ChannelKey, Channel] = {}
+        for u, v in graph.edges:
+            for key in ((u, v), (v, u)):
+                self._install_channel(key)
+
+    def _init_kernel_state(self) -> None:
+        """Set up the activity, churn and snapshot-cache state of a new network.
+
+        Needs ``node_ids``; every constructor calls it before the first
+        channel or outbox watcher can fire.
+        """
         self._version = 0
         self._topology_version = 0
         self._graph_owned = False
@@ -177,13 +195,11 @@ class Network:
         self._retired_max_message_bits = 0
         self._disabled: set[NodeId] = set()
         #: Channel delivery model shared by every channel (``None`` keeps the
-        #: historical reliable-FIFO fast path).  Installed before the channel
-        #: loop below so construction-time and churn-time channels agree.
+        #: historical reliable-FIFO fast path).  Installed before any channel
+        #: exists so construction-time and churn-time channels agree.
         self._channel_model = None
         self._active: set[ChannelKey] = set()
         self._pending_total = 0
-        self._channel_order: Dict[ChannelKey, int] = {}
-        self._channel_seq = 0
         # Dirty-set snapshot caches: nodes whose reported state may have
         # changed since the per-node caches were refreshed, the cached
         # per-node snapshot dicts / read-only views / fingerprint tuples,
@@ -196,18 +212,9 @@ class Network:
         self._snaps_view: Optional[Mapping[NodeId, Mapping[str, object]]] = None
         self._snaps_version = -1
         self._key_cache: Optional[Tuple[int, tuple]] = None
-        # Non-empty-outbox count for the O(1) quiescence test; watchers are
-        # installed below, after which the count is maintained incrementally.
+        # Non-empty-outbox count for the O(1) quiescence test, maintained
+        # incrementally by the outbox watchers once they are installed.
         self._nonempty_outboxes = 0
-        for proc in self.processes.values():
-            proc.outbox.watch(self._outbox_changed)
-        self._nonempty_outboxes = sum(
-            1 for proc in self.processes.values() if len(proc.outbox))
-        # Two directed channels per undirected edge, watched for activity.
-        self.channels: Dict[ChannelKey, Channel] = {}
-        for u, v in graph.edges:
-            for key in ((u, v), (v, u)):
-                self._install_channel(key)
 
     # -- configuration version / activity tracking -----------------------------
 

@@ -31,6 +31,7 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
+import networkx as nx
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -49,7 +50,8 @@ from repro.sim.faults import ChurnPlan, FaultPlan
 
 from test_adversary_guard import E2_FAST_SLICE_MD5, LEGACY_V3_DICT
 
-SRC = str(Path(__file__).resolve().parent.parent / "src")
+TESTS = str(Path(__file__).resolve().parent)
+SRC = str(Path(TESTS).parent / "src")
 
 #: A spec dict exactly as schema v4 wrote it: adversary keys, no backend.
 LEGACY_V4_DICT = {**LEGACY_V3_DICT,
@@ -61,6 +63,18 @@ LEGACY_V4_DICT = {**LEGACY_V3_DICT,
 
 def _graph(n: int, seed: int):
     return GRAPH_FAMILIES["erdos_renyi_sparse"](n, seed=seed)
+
+
+def _layout_edge_case(name: str):
+    """Inputs the ``erdos_renyi_sparse`` property never produces.
+
+    ``watts_strogatz`` and ``grid`` iterate their edges in a non-canonical
+    order (channels must be created in that order, not sorted), and
+    ``relabelled`` has node ids other than ``0..n-1``.
+    """
+    if name == "relabelled":
+        return nx.relabel_nodes(_graph(14, 7), lambda v: 3 * v + 7)
+    return GRAPH_FAMILIES[name](14, seed=3)
 
 
 def _result_key(result):
@@ -139,6 +153,17 @@ class TestByteIdentity:
         obj, arr = _run_both(_graph(16, 7), scheduler="synchronous",
                              initial="corrupted", seed=5, max_rounds=600,
                              fault_plan=plan)
+        assert _result_key(obj) == _result_key(arr)
+
+    @pytest.mark.parametrize("scheduler", ["synchronous", "random"])
+    @pytest.mark.parametrize("protocol",
+                             ["mdst", "spanning_tree", "pif_max_degree"])
+    @pytest.mark.parametrize("graph_input",
+                             ["watts_strogatz", "grid", "relabelled"])
+    def test_layout_edge_cases(self, graph_input, protocol, scheduler):
+        obj, arr = _run_both(_layout_edge_case(graph_input),
+                             protocol=protocol, scheduler=scheduler,
+                             initial="corrupted", seed=5, max_rounds=300)
         assert _result_key(obj) == _result_key(arr)
 
     def test_e2_fast_slice_matches_object_digest(self):
@@ -233,9 +258,9 @@ class TestThroughputProfile:
     def test_profile_param_profiles_the_array_round_loop(self):
         """``profile=N`` under backend='array' ranks kernel work, not imports.
 
-        Runs in a subprocess so the array modules (and scipy) are cold:
-        before the pre-warm fix, the lazy import storm landed inside the
-        profiled region and importlib frames drowned the round loop.
+        Runs in a subprocess so the array modules are cold: before the
+        pre-warm fix, the lazy import storm landed inside the profiled
+        region and importlib frames drowned the round loop.
         """
         script = (
             "import sys, json\n"
@@ -254,6 +279,50 @@ class TestThroughputProfile:
         functions = [entry["function"] for entry in top]
         assert not any("importlib" in f for f in functions), functions
         assert any("array_kernel" in f for f in functions), functions
+
+
+class TestNoScipy:
+    """The array backend lays out its CSR topology with numpy alone."""
+
+    SCRIPT = (
+        "import sys, json, hashlib\n"
+        f"sys.path[:0] = [{SRC!r}, {TESTS!r}]\n"
+        "if sys.argv[1] == 'refuse':\n"
+        "    class RefuseScipy:\n"
+        "        def find_spec(self, name, path=None, target=None):\n"
+        "            if name.split('.')[0] == 'scipy':\n"
+        "                raise ImportError('scipy refused')\n"
+        "    sys.meta_path.insert(0, RefuseScipy())\n"
+        "from repro.graphs.generators import GRAPH_FAMILIES\n"
+        "from repro.graphs.fast_generators import make_fast_graph\n"
+        "from repro.protocols.base import ProtocolRunConfig\n"
+        "from repro.protocols.runner import run_protocol\n"
+        "from test_array_kernel import _result_key\n"
+        "er = GRAPH_FAMILIES['erdos_renyi_sparse'](16, seed=3)\n"
+        "pl = make_fast_graph('powerlaw_cm', 16, seed=3)\n"
+        "runs = [('mdst', er), ('mdst', pl), ('mdst', pl.to_networkx())]\n"
+        "runs += [(p, g) for p in ('spanning_tree', 'pif_max_degree')"
+        " for g in (er, pl)]\n"
+        "keys = [_result_key(run_protocol(g, ProtocolRunConfig("
+        "protocol=p, backend='array', seed=3, max_rounds=150)))"
+        " for p, g in runs]\n"
+        "print(json.dumps({'scipy': 'scipy' in sys.modules,"
+        " 'keys': hashlib.md5(repr(keys).encode()).hexdigest()}))\n")
+
+    def test_array_runs_neither_import_nor_need_scipy(self):
+        """Runs leave scipy unimported, and refusing it changes nothing.
+
+        Covers mdst on nx and edge-array input and both substrate
+        protocols, on families whose generators do not import scipy
+        themselves.
+        """
+        out = {}
+        for mode in ("plain", "refuse"):
+            proc = subprocess.run([sys.executable, "-c", self.SCRIPT, mode],
+                                  capture_output=True, text=True, check=True)
+            out[mode] = json.loads(proc.stdout.strip().splitlines()[-1])
+        assert not out["plain"]["scipy"]
+        assert out["plain"]["keys"] == out["refuse"]["keys"]
 
 
 class TestSchemaV5:
