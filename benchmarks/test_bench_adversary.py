@@ -20,30 +20,21 @@ intensity:
   hook sits on the send hot path, so a regression here means the
   reliable-FIFO fast path got slower).
 
-Two modes, mirroring ``test_bench_churn.py``:
-
-* smoke (default) -- every protocol against low-intensity loss; what plain
-  ``pytest`` and the CI smoke job run.  If the committed
-  ``BENCH_adversary.json`` carries a matching smoke record, the test fails
-  when the current machine is more than ``SMOKE_GUARD_FACTOR`` x slower.
-  Survival is asserted unconditionally.
-* record (``REPRO_BENCH_RECORD=1``) -- the full protocol x model x
-  intensity matrix; writes ``BENCH_adversary.json`` (including a fresh
-  smoke record for the guard).
+Smoke mode runs every protocol against low-intensity loss; record mode
+runs the full protocol x model x intensity matrix and writes
+``BENCH_adversary.json``.  Survival is asserted in both modes.  Modes and
+guard: see ``_harness.py``.
 """
 
 from __future__ import annotations
 
-import json
-import os
-import time
-from pathlib import Path
 from typing import Dict, List, Tuple
 
-from repro.runtime.engine import SweepEngine
+from _harness import (HIGHER, RECORD, ROOT, check_guard, guard, rate,
+                      run_specs, write_record)
 from repro.runtime.spec import RunSpec
 
-OUTPUT_PATH = Path(__file__).resolve().parent.parent / "BENCH_adversary.json"
+OUTPUT_PATH = ROOT / "BENCH_adversary.json"
 
 PROTOCOLS: Tuple[str, ...] = ("mdst", "spanning_tree", "pif_max_degree")
 FAMILY = "erdos_renyi_sparse"
@@ -83,8 +74,7 @@ EXPECTED_NOT_RECOVERED = {("mdst", "crash_stop")}
 SMOKE_MODEL = "loss"
 SMOKE_INTENSITY = "low"
 SMOKE_MAX_ROUNDS = 2000
-
-SMOKE_GUARD_FACTOR = 5.0
+SMOKE_MATRIX: Dict[str, Tuple[str, ...]] = {SMOKE_MODEL: (SMOKE_INTENSITY,)}
 
 
 def _workload_fingerprint(protocols: Tuple[str, ...],
@@ -103,6 +93,10 @@ def _workload_fingerprint(protocols: Tuple[str, ...],
     }
 
 
+SMOKE_GUARDS = {"adversary": _workload_fingerprint(
+    PROTOCOLS, SMOKE_MATRIX, SMOKE_MAX_ROUNDS)}
+
+
 def _specs(protocols: Tuple[str, ...], matrix: Dict[str, Tuple[str, ...]],
            max_rounds: int) -> List[Tuple[str, str, str, RunSpec]]:
     out = []
@@ -118,25 +112,16 @@ def _specs(protocols: Tuple[str, ...], matrix: Dict[str, Tuple[str, ...]],
     return out
 
 
-def _run(protocols: Tuple[str, ...], matrix: Dict[str, Tuple[str, ...]],
-         max_rounds: int) -> List[Dict[str, object]]:
+def _checked_rows(protocols: Tuple[str, ...],
+                  matrix: Dict[str, Tuple[str, ...]],
+                  max_rounds: int) -> List[Dict[str, object]]:
     labelled = _specs(protocols, matrix, max_rounds)
-    engine = SweepEngine(workers=1, cache=None)
-    rows = []
-    for (protocol, model, level, _), outcome in zip(
-            labelled, engine.execute([spec for *_, spec in labelled])):
-        row = dict(outcome.row)
-        row["protocol"] = protocol            # mdst rows omit the column
-        row["model"] = model
-        row["intensity"] = level
-        rows.append(row)
+    rows = run_specs(spec for *_, spec in labelled)
+    for (protocol, model, level, _), row in zip(labelled, rows):
+        # mdst rows omit the protocol column
+        row.update(protocol=protocol, model=model, intensity=level)
+    _check_survival(rows)
     return rows
-
-
-def _aggregate(rows: List[Dict[str, object]]) -> float:
-    seconds = sum(float(row["seconds"]) for row in rows)
-    rounds = sum(int(row["rounds"]) for row in rows)
-    return round(rounds / seconds, 2) if seconds > 0 else 0.0
 
 
 def _verdict_matrix(rows: List[Dict[str, object]]) -> Dict[str, Dict[str, str]]:
@@ -161,60 +146,31 @@ def _check_survival(rows: List[Dict[str, object]]) -> None:
 
 
 def test_adversary_recovery_survival():
-    record = os.environ.get("REPRO_BENCH_RECORD", "") == "1"
-    smoke_matrix = {SMOKE_MODEL: (SMOKE_INTENSITY,)}
-
-    if not record:
-        rows = _run(PROTOCOLS, smoke_matrix, SMOKE_MAX_ROUNDS)
-        current = _aggregate(rows)
-        print()
-        print(f"adversary throughput (smoke): {current} rounds/sec over "
-              f"{len(rows)} instances ({SMOKE_MODEL}:{SMOKE_INTENSITY}, "
-              f"n={N})")
-        _check_survival(rows)
-        assert current > 0
-        guard = None
-        if OUTPUT_PATH.exists():
-            committed = json.loads(OUTPUT_PATH.read_text())
-            guard = committed.get("smoke_guard")
-        if guard and guard.get("workload") == _workload_fingerprint(
-                PROTOCOLS, smoke_matrix, SMOKE_MAX_ROUNDS):
-            floor = float(guard["rounds_per_sec"]) / SMOKE_GUARD_FACTOR
-            print(f"smoke guard: recorded {guard['rounds_per_sec']} "
-                  f"rounds/sec, floor {round(floor, 2)}")
-            assert current >= floor, (
-                f"adversary smoke throughput {current} rounds/sec is more "
-                f"than {SMOKE_GUARD_FACTOR}x below the committed record "
-                f"{guard['rounds_per_sec']} (see BENCH_adversary.json)")
-        else:
-            print("smoke guard: no matching committed record, guard skipped")
+    smoke_rows = _checked_rows(PROTOCOLS, SMOKE_MATRIX, SMOKE_MAX_ROUNDS)
+    values = {"rounds_per_sec": rate(smoke_rows)}
+    print()
+    print(f"adversary throughput (smoke): {values['rounds_per_sec']} "
+          f"rounds/sec over {len(smoke_rows)} instances "
+          f"({SMOKE_MODEL}:{SMOKE_INTENSITY}, n={N})")
+    if not RECORD:
+        check_guard(OUTPUT_PATH, "adversary", SMOKE_GUARDS["adversary"],
+                    values, HIGHER)
         return
 
-    # -- record mode: full matrix + fresh smoke record ----------------------
     full_matrix = {name: tuple(levels) for name, levels in MODELS.items()}
-    rows = _run(PROTOCOLS, full_matrix, MAX_ROUNDS)
-    _check_survival(rows)
-
-    smoke_rows = _run(PROTOCOLS, smoke_matrix, SMOKE_MAX_ROUNDS)
-    payload = {
+    rows = _checked_rows(PROTOCOLS, full_matrix, MAX_ROUNDS)
+    write_record(OUTPUT_PATH, {
         "benchmark": "adversary_recovery_survival",
         "mode": "record",
         "workload": _workload_fingerprint(PROTOCOLS, full_matrix, MAX_ROUNDS),
         "runs": rows,
         "verdicts": _verdict_matrix(rows),
         "expected_not_recovered": sorted(map(list, EXPECTED_NOT_RECOVERED)),
-        "rounds_per_sec": _aggregate(rows),
-        "smoke_guard": {
-            "workload": _workload_fingerprint(PROTOCOLS, smoke_matrix,
-                                              SMOKE_MAX_ROUNDS),
-            "rounds_per_sec": _aggregate(smoke_rows),
-            "guard_factor": SMOKE_GUARD_FACTOR,
-        },
-        "unix_time": int(time.time()),
-    }
-    OUTPUT_PATH.write_text(json.dumps(payload, indent=2) + "\n")
-    print()
-    print(f"adversary throughput (record): {_aggregate(rows)} rounds/sec "
+        "rounds_per_sec": rate(rows),
+        "smoke_guard": {"adversary": guard(SMOKE_GUARDS["adversary"], values,
+                                           HIGHER)},
+    })
+    print(f"adversary throughput (record): {rate(rows)} rounds/sec "
           f"aggregate -> {OUTPUT_PATH.name}")
     for protocol, verdicts in _verdict_matrix(rows).items():
         print(f"  {protocol}: {verdicts}")

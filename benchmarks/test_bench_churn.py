@@ -15,30 +15,20 @@ families at several churn rates, and reports
   workload (the mutation paths are on the kernel's hot structures, so a
   regression here means the incremental invalidation went quadratic).
 
-Two modes, mirroring ``test_bench_scaling.py``:
-
-* smoke (default) -- one small rate x n=16 workload; what plain ``pytest``
-  and the CI smoke job run.  If the committed ``BENCH_churn.json`` carries
-  a matching smoke record, the test fails when the current machine is more
-  than ``SMOKE_GUARD_FACTOR`` x slower than the recorded number.
-  Re-convergence is asserted unconditionally.
-* record (``REPRO_BENCH_RECORD=1``) -- the full rate x family matrix;
-  writes ``BENCH_churn.json`` (including a fresh smoke record for the
-  guard) and asserts every run in the matrix re-converged.
+Smoke mode runs one small rate x n=16 workload; record mode runs the full
+rate x family matrix and writes ``BENCH_churn.json``.  Re-convergence is
+asserted in both modes.  Modes and guard: see ``_harness.py``.
 """
 
 from __future__ import annotations
 
-import json
-import os
-import time
-from pathlib import Path
-from typing import Dict, List, Tuple
+from typing import Dict, List, Optional, Tuple
 
-from repro.runtime.engine import SweepEngine
+from _harness import (HIGHER, RECORD, ROOT, check_guard, guard, rate,
+                      run_specs, write_record)
 from repro.runtime.spec import RunSpec
 
-OUTPUT_PATH = Path(__file__).resolve().parent.parent / "BENCH_churn.json"
+OUTPUT_PATH = ROOT / "BENCH_churn.json"
 
 #: The churn workload: families x churn rates, one seed, synchronous
 #: scheduler, isolated cold start.  Every spec schedules CHURN_EVENTS
@@ -54,15 +44,11 @@ CHURN_START = 40
 MAX_ROUNDS = 3000
 SEED = 11
 
-#: Smoke workload: small, fast, fixed -- the CI guard compares like for like.
+#: Smoke workload: small, fast, fixed -- the guard compares like for like.
 SMOKE_N = 16
 SMOKE_RATE = 0.05
 SMOKE_EVENTS = 3
 SMOKE_MAX_ROUNDS = 2000
-
-#: Fail smoke mode only when throughput drops more than this factor below
-#: the committed record (absorbs machine-to-machine variation).
-SMOKE_GUARD_FACTOR = 5.0
 
 
 def _workload_fingerprint(n: int, rates: Tuple[float, ...], events: int,
@@ -81,105 +67,65 @@ def _workload_fingerprint(n: int, rates: Tuple[float, ...], events: int,
     }
 
 
-def _specs(n: int, rates: Tuple[float, ...], events: int,
-           max_rounds: int) -> List[RunSpec]:
-    return [RunSpec(task="churn", family=family, n=n, seed=SEED,
-                    scheduler="synchronous", initial="isolated",
-                    max_rounds=max_rounds, churn_rate=rate,
-                    churn_start=CHURN_START, churn_events=events)
-            for family in FAMILIES for rate in rates]
+SMOKE_GUARDS = {"churn": _workload_fingerprint(
+    SMOKE_N, (SMOKE_RATE,), SMOKE_EVENTS, SMOKE_MAX_ROUNDS)}
 
 
-def _run(n: int, rates: Tuple[float, ...], events: int,
-         max_rounds: int) -> List[Dict[str, object]]:
-    """Execute the workload serially through the sweep engine (no cache)."""
-    engine = SweepEngine(workers=1, cache=None)
-    return [outcome.row
-            for outcome in engine.execute(_specs(n, rates, events, max_rounds))]
-
-
-def _aggregate(rows: List[Dict[str, object]]) -> float:
-    seconds = sum(float(row["seconds"]) for row in rows)
-    rounds = sum(int(row["rounds"]) for row in rows)
-    return round(rounds / seconds, 2) if seconds > 0 else 0.0
-
-
-def _mean_recovery(rows: List[Dict[str, object]]) -> float:
-    gaps = [int(row["recovery_rounds"]) for row in rows
-            if row.get("recovery_rounds") is not None]
-    return round(sum(gaps) / len(gaps), 1) if gaps else 0.0
-
-
-def test_churn_recovery_throughput():
-    record = os.environ.get("REPRO_BENCH_RECORD", "") == "1"
-
-    if not record:
-        rows = _run(SMOKE_N, (SMOKE_RATE,), SMOKE_EVENTS, SMOKE_MAX_ROUNDS)
-        current = _aggregate(rows)
-        print()
-        print(f"churn throughput (smoke): {current} rounds/sec over "
-              f"{len(rows)} instances (n={SMOKE_N}, rate={SMOKE_RATE}), "
-              f"mean recovery {_mean_recovery(rows)} rounds")
-        # re-convergence after churn is a hard gate even in smoke mode
-        for row in rows:
-            assert row["converged"], (
-                f"{row['family']} failed to re-converge after churn "
-                f"({row['churn_applied']} events applied)")
-            assert row["churn_applied"] + row["churn_skipped"] == SMOKE_EVENTS
-        assert current > 0
-        guard = None
-        if OUTPUT_PATH.exists():
-            committed = json.loads(OUTPUT_PATH.read_text())
-            guard = committed.get("smoke_guard")
-        if guard and guard.get("workload") == _workload_fingerprint(
-                SMOKE_N, (SMOKE_RATE,), SMOKE_EVENTS, SMOKE_MAX_ROUNDS):
-            floor = float(guard["rounds_per_sec"]) / SMOKE_GUARD_FACTOR
-            print(f"smoke guard: recorded {guard['rounds_per_sec']} rounds/sec, "
-                  f"floor {round(floor, 2)}")
-            assert current >= floor, (
-                f"churn smoke throughput {current} rounds/sec is more than "
-                f"{SMOKE_GUARD_FACTOR}x below the committed record "
-                f"{guard['rounds_per_sec']} (see BENCH_churn.json)")
-        else:
-            print("smoke guard: no matching committed record, guard skipped")
-        return
-
-    # -- record mode: full matrix + fresh smoke record ----------------------
-    rows = _run(N, CHURN_RATES, CHURN_EVENTS, MAX_ROUNDS)
+def _checked_rows(n: int, rates: Tuple[float, ...], events: int,
+                  max_rounds: int) -> List[Dict[str, object]]:
+    """Run the workload and assert every run re-converged after its churn."""
+    rows = run_specs(
+        RunSpec(task="churn", family=family, n=n, seed=SEED,
+                scheduler="synchronous", initial="isolated",
+                max_rounds=max_rounds, churn_rate=churn_rate,
+                churn_start=CHURN_START, churn_events=events)
+        for family in FAMILIES for churn_rate in rates)
     for row in rows:
         assert row["converged"], (
             f"{row['family']} at rate {row['churn_rate']} failed to "
             f"re-converge ({row['churn_applied']} events applied)")
-    by_rate = {rate: _aggregate([r for r in rows if r["churn_rate"] == rate])
-               for rate in CHURN_RATES}
-    recovery_by_rate = {
-        rate: _mean_recovery([r for r in rows if r["churn_rate"] == rate])
-        for rate in CHURN_RATES}
+        assert row["churn_applied"] + row["churn_skipped"] == events
+    return rows
 
-    smoke_rows = _run(SMOKE_N, (SMOKE_RATE,), SMOKE_EVENTS, SMOKE_MAX_ROUNDS)
-    payload = {
+
+def _mean_recovery(rows: List[Dict[str, object]]) -> Optional[float]:
+    """Mean rounds from the last applied event to convergence (None: no gap)."""
+    gaps = [int(row["recovery_rounds"]) for row in rows
+            if row.get("recovery_rounds") is not None]
+    return round(sum(gaps) / len(gaps), 1) if gaps else None
+
+
+def test_churn_recovery_throughput():
+    smoke_rows = _checked_rows(SMOKE_N, (SMOKE_RATE,), SMOKE_EVENTS,
+                               SMOKE_MAX_ROUNDS)
+    values = {"rounds_per_sec": rate(smoke_rows)}
+    print()
+    print(f"churn throughput (smoke): {values['rounds_per_sec']} rounds/sec "
+          f"over {len(smoke_rows)} instances (n={SMOKE_N}, rate={SMOKE_RATE}), "
+          f"mean recovery {_mean_recovery(smoke_rows)} rounds")
+    if not RECORD:
+        check_guard(OUTPUT_PATH, "churn", SMOKE_GUARDS["churn"], values, HIGHER)
+        return
+
+    rows = _checked_rows(N, CHURN_RATES, CHURN_EVENTS, MAX_ROUNDS)
+    by_rate = {r: [row for row in rows if row["churn_rate"] == r]
+               for r in CHURN_RATES}
+    write_record(OUTPUT_PATH, {
         "benchmark": "churn_recovery_throughput",
         "mode": "record",
         "workload": _workload_fingerprint(N, CHURN_RATES, CHURN_EVENTS,
                                           MAX_ROUNDS),
         "runs": rows,
-        "rounds_per_sec_by_rate": {str(r): by_rate[r] for r in CHURN_RATES},
-        "rounds_per_sec": _aggregate(rows),
-        "mean_recovery_rounds_by_rate": {str(r): recovery_by_rate[r]
+        "rounds_per_sec_by_rate": {str(r): rate(by_rate[r])
+                                   for r in CHURN_RATES},
+        "rounds_per_sec": rate(rows),
+        "mean_recovery_rounds_by_rate": {str(r): _mean_recovery(by_rate[r])
                                          for r in CHURN_RATES},
         "all_reconverged": True,
-        "smoke_guard": {
-            "workload": _workload_fingerprint(SMOKE_N, (SMOKE_RATE,),
-                                              SMOKE_EVENTS, SMOKE_MAX_ROUNDS),
-            "rounds_per_sec": _aggregate(smoke_rows),
-            "guard_factor": SMOKE_GUARD_FACTOR,
-        },
-        "unix_time": int(time.time()),
-    }
-    OUTPUT_PATH.write_text(json.dumps(payload, indent=2) + "\n")
-    print()
-    print(f"churn throughput (record): {_aggregate(rows)} rounds/sec "
+        "smoke_guard": {"churn": guard(SMOKE_GUARDS["churn"], values, HIGHER)},
+    })
+    print(f"churn throughput (record): {rate(rows)} rounds/sec "
           f"aggregate -> {OUTPUT_PATH.name}")
-    for rate in CHURN_RATES:
-        print(f"  rate={rate}: {by_rate[rate]} rounds/sec, "
-              f"mean recovery {recovery_by_rate[rate]} rounds")
+    for r in CHURN_RATES:
+        print(f"  rate={r}: {rate(by_rate[r])} rounds/sec, "
+              f"mean recovery {_mean_recovery(by_rate[r])} rounds")

@@ -12,32 +12,23 @@ across two graph families through the ``throughput`` task, and reports
   substrate protocols are far lighter than full MDST, so their columns
   double as a ceiling on what the kernel itself can deliver).
 
-Two modes, mirroring ``test_bench_scaling.py`` / ``test_bench_churn.py``:
-
-* smoke (default) -- the three protocols on one small family; what plain
-  ``pytest`` and the CI smoke job run.  If the committed
-  ``BENCH_protocols.json`` carries a matching smoke record, the test fails
-  when the current machine is more than ``SMOKE_GUARD_FACTOR`` x slower
-  than the recorded aggregate.  Substrate-protocol convergence is asserted
-  unconditionally (they stabilize in O(n) rounds; full MDST runs against
-  the round budget and reports convergence as data).
-* record (``REPRO_BENCH_RECORD=1``) -- the full protocol x family matrix at
-  n=32; writes ``BENCH_protocols.json`` (including a fresh smoke record
-  for the guard).
+Smoke mode runs the three protocols on one small family; record mode runs
+the full protocol x family matrix at n=32 and writes
+``BENCH_protocols.json``.  Substrate-protocol convergence is asserted in
+both modes (they stabilize in O(n) rounds; full MDST runs against the
+round budget and reports convergence as data).  Modes and guard: see
+``_harness.py``.
 """
 
 from __future__ import annotations
 
-import json
-import os
-import time
-from pathlib import Path
 from typing import Dict, List, Tuple
 
-from repro.runtime.engine import SweepEngine
+from _harness import (HIGHER, RECORD, ROOT, check_guard, guard, rate,
+                      run_specs, write_record)
 from repro.runtime.spec import RunSpec
 
-OUTPUT_PATH = Path(__file__).resolve().parent.parent / "BENCH_protocols.json"
+OUTPUT_PATH = ROOT / "BENCH_protocols.json"
 
 #: The recorded workload: every registered protocol x two graph families,
 #: one seed, synchronous scheduler, isolated cold start.
@@ -51,14 +42,10 @@ SEED = 11
 #: full MDST protocol at n=32 legitimately runs out the budget.
 MUST_CONVERGE: Tuple[str, ...] = ("spanning_tree", "pif_max_degree")
 
-#: Smoke workload: small, fast, fixed -- the CI guard compares like for like.
+#: Smoke workload: small, fast, fixed -- the guard compares like for like.
 SMOKE_N = 16
 SMOKE_FAMILIES: Tuple[str, ...] = ("erdos_renyi_sparse",)
 SMOKE_MAX_ROUNDS = 240
-
-#: Fail smoke mode only when throughput drops more than this factor below
-#: the committed record (absorbs machine-to-machine variation).
-SMOKE_GUARD_FACTOR = 5.0
 
 
 def _workload_fingerprint(n: int, families: Tuple[str, ...],
@@ -75,20 +62,8 @@ def _workload_fingerprint(n: int, families: Tuple[str, ...],
     }
 
 
-def _specs(n: int, families: Tuple[str, ...],
-           max_rounds: int) -> List[RunSpec]:
-    return [RunSpec(task="throughput", protocol=protocol, family=family,
-                    n=n, seed=SEED, scheduler="synchronous",
-                    initial="isolated", max_rounds=max_rounds)
-            for family in families for protocol in PROTOCOLS_SWEPT]
-
-
-def _run(n: int, families: Tuple[str, ...],
-         max_rounds: int) -> List[Dict[str, object]]:
-    """Execute the workload serially through the sweep engine (no cache)."""
-    engine = SweepEngine(workers=1, cache=None)
-    return [outcome.row
-            for outcome in engine.execute(_specs(n, families, max_rounds))]
+SMOKE_GUARDS = {"protocols": _workload_fingerprint(
+    SMOKE_N, SMOKE_FAMILIES, SMOKE_MAX_ROUNDS)}
 
 
 def _protocol_of(row: Dict[str, object]) -> str:
@@ -96,83 +71,54 @@ def _protocol_of(row: Dict[str, object]) -> str:
     return str(row.get("protocol", "mdst"))
 
 
-def _aggregate(rows: List[Dict[str, object]]) -> float:
-    seconds = sum(float(row["seconds"]) for row in rows)
-    rounds = sum(int(row["rounds"]) for row in rows)
-    return round(rounds / seconds, 2) if seconds > 0 else 0.0
-
-
-def _check_convergence(rows: List[Dict[str, object]]) -> None:
+def _checked_rows(n: int, families: Tuple[str, ...],
+                  max_rounds: int) -> List[Dict[str, object]]:
+    """Run the workload; assert coverage and substrate convergence."""
+    rows = run_specs(RunSpec(task="throughput", protocol=protocol,
+                             family=family, n=n, seed=SEED,
+                             scheduler="synchronous", initial="isolated",
+                             max_rounds=max_rounds)
+                     for family in families for protocol in PROTOCOLS_SWEPT)
+    assert {_protocol_of(r) for r in rows} == set(PROTOCOLS_SWEPT)
     for row in rows:
         if _protocol_of(row) in MUST_CONVERGE:
             assert row["converged"], (
                 f"{_protocol_of(row)} failed to converge on {row['family']} "
                 f"(n={row['n']}, budget {row['max_rounds']} rounds)")
+    return rows
 
 
 def test_cross_protocol_throughput():
-    record = os.environ.get("REPRO_BENCH_RECORD", "") == "1"
-
-    if not record:
-        rows = _run(SMOKE_N, SMOKE_FAMILIES, SMOKE_MAX_ROUNDS)
-        assert {_protocol_of(r) for r in rows} == set(PROTOCOLS_SWEPT)
-        _check_convergence(rows)
-        current = _aggregate(rows)
-        assert current > 0
-        print()
-        print(f"cross-protocol throughput (smoke): {current} rounds/sec over "
-              f"{len(rows)} instances (n={SMOKE_N})")
-        for row in rows:
-            print(f"  {_protocol_of(row):<15} {row['family']}: "
-                  f"{row['rounds_per_sec']} rounds/sec, "
-                  f"converged={row['converged']}")
-        guard = None
-        if OUTPUT_PATH.exists():
-            committed = json.loads(OUTPUT_PATH.read_text())
-            guard = committed.get("smoke_guard")
-        if guard and guard.get("workload") == _workload_fingerprint(
-                SMOKE_N, SMOKE_FAMILIES, SMOKE_MAX_ROUNDS):
-            floor = float(guard["rounds_per_sec"]) / SMOKE_GUARD_FACTOR
-            print(f"smoke guard: recorded {guard['rounds_per_sec']} "
-                  f"rounds/sec, floor {round(floor, 2)}")
-            assert current >= floor, (
-                f"cross-protocol smoke throughput {current} rounds/sec is "
-                f"more than {SMOKE_GUARD_FACTOR}x below the committed "
-                f"record {guard['rounds_per_sec']} (see BENCH_protocols.json)")
-        else:
-            print("smoke guard: no matching committed record, guard skipped")
+    smoke_rows = _checked_rows(SMOKE_N, SMOKE_FAMILIES, SMOKE_MAX_ROUNDS)
+    values = {"rounds_per_sec": rate(smoke_rows)}
+    print()
+    print(f"cross-protocol throughput (smoke): {values['rounds_per_sec']} "
+          f"rounds/sec over {len(smoke_rows)} instances (n={SMOKE_N})")
+    for row in smoke_rows:
+        print(f"  {_protocol_of(row):<15} {row['family']}: "
+              f"{row['rounds_per_sec']} rounds/sec, "
+              f"converged={row['converged']}")
+    if not RECORD:
+        check_guard(OUTPUT_PATH, "protocols", SMOKE_GUARDS["protocols"],
+                    values, HIGHER)
         return
 
-    # -- record mode: full matrix + fresh smoke record ----------------------
-    rows = _run(N, FAMILIES, MAX_ROUNDS)
-    assert {_protocol_of(r) for r in rows} == set(PROTOCOLS_SWEPT)
-    _check_convergence(rows)
+    rows = _checked_rows(N, FAMILIES, MAX_ROUNDS)
     by_protocol = {
-        protocol: _aggregate([r for r in rows
-                              if _protocol_of(r) == protocol])
+        protocol: rate([r for r in rows if _protocol_of(r) == protocol])
         for protocol in PROTOCOLS_SWEPT}
-
-    smoke_rows = _run(SMOKE_N, SMOKE_FAMILIES, SMOKE_MAX_ROUNDS)
-    _check_convergence(smoke_rows)
-    payload = {
+    write_record(OUTPUT_PATH, {
         "benchmark": "cross_protocol_throughput",
         "mode": "record",
         "workload": _workload_fingerprint(N, FAMILIES, MAX_ROUNDS),
         "runs": rows,
         "rounds_per_sec_by_protocol": by_protocol,
-        "rounds_per_sec": _aggregate(rows),
+        "rounds_per_sec": rate(rows),
         "substrate_protocols_converged": True,
-        "smoke_guard": {
-            "workload": _workload_fingerprint(SMOKE_N, SMOKE_FAMILIES,
-                                              SMOKE_MAX_ROUNDS),
-            "rounds_per_sec": _aggregate(smoke_rows),
-            "guard_factor": SMOKE_GUARD_FACTOR,
-        },
-        "unix_time": int(time.time()),
-    }
-    OUTPUT_PATH.write_text(json.dumps(payload, indent=2) + "\n")
-    print()
-    print(f"cross-protocol throughput (record): {_aggregate(rows)} "
+        "smoke_guard": {"protocols": guard(SMOKE_GUARDS["protocols"], values,
+                                           HIGHER)},
+    })
+    print(f"cross-protocol throughput (record): {rate(rows)} "
           f"rounds/sec aggregate -> {OUTPUT_PATH.name}")
     for protocol in PROTOCOLS_SWEPT:
         print(f"  {protocol:<15} {by_protocol[protocol]} rounds/sec")

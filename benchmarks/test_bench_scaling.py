@@ -25,39 +25,21 @@ rounds: graph generation plus network construction for the heavy-tailed
 (nx graph -> ``ArrayNetwork``, laid out as CSR from the nx edges), and
 ``csr_direct`` (:class:`~repro.graphs.edge_array.EdgeArrayGraph` ->
 ``ArrayNetwork`` straight from the cached CSR).  Both array modes build
-the per-object maps lazily; they differ in the input the build consumes.  Record mode gates
-``csr_direct`` at >= ``CONSTRUCTION_SPEEDUP_TARGET`` x faster than
-``object`` at n=10_000 (both build-only and end-to-end); smoke mode runs
-only the csr_direct n=10_000 case against its committed guard.
+the per-object maps lazily; they differ in the input the build consumes.
+Record mode gates ``csr_direct`` at >= ``CONSTRUCTION_SPEEDUP_TARGET`` x
+faster than ``object`` at n=10_000 (both build-only and end-to-end).
 
-Every number is a *marginal* cost, measured by two-budget warm-up
-subtraction: each configuration runs twice, once for ``warmup`` rounds
-and once for ``warmup + window`` rounds, and the reported seconds are the
-difference.  That cancels everything both runs share -- graph and network
-construction, initial-policy installation, cold caches -- so rounds/sec
-reflects steady per-round kernel cost rather than a setup-amortization
-artifact (the previous revision's fixed per-size budgets made larger
-networks look disproportionately slow purely because setup was a bigger
-share of a smaller budget).  ``stability_window`` is set above the budget
-so every run executes *exactly* ``max_rounds`` rounds; the measured
-window sits in the early, gossip-dominated regime of the cold start.
+Every rate is a *marginal* cost (``_harness.marginal``): each
+configuration runs for ``warmup`` and for ``warmup + window`` rounds and
+the reported seconds are the difference, median of three trials with the
+IQR beside it.  ``stability_window`` is set above the budget so every run
+executes *exactly* ``max_rounds`` rounds; the measured window sits in the
+early, gossip-dominated regime of the cold start.
 
-Two modes, mirroring ``test_bench_kernel_throughput.py``:
-
-* smoke (default) -- one n=64 instance per (backend, scheduler) smoke
-  combination (object/synchronous, array/synchronous, array/random) with
-  a small window; what plain ``pytest`` and the CI smoke job run.  If
-  the committed ``BENCH_scaling.json`` carries a matching smoke record,
-  the test fails when the current machine is more than
-  ``SMOKE_GUARD_FACTOR`` x slower than the recorded number *for that
-  combination* -- a machine-tolerant regression guard, not a strict gate.
-* record (``REPRO_BENCH_RECORD=1``) -- all three tiers for both
-  backends; writes ``BENCH_scaling.json`` (including fresh smoke records
-  for the guard) and asserts two gates: the array backend's aggregate
-  rounds/sec over the synchronous scaling tier (n >= 256) is
-  >= ``ARRAY_SPEEDUP_TARGET`` x the object backend's, and its aggregate
-  over the async tier is >= ``ASYNC_SPEEDUP_TARGET`` x the object
-  backend's.
+Smoke mode runs the n=64 ``SMOKE_COMBOS`` and the csr_direct n=10_000
+construction case; record mode runs every tier on both backends, writes
+``BENCH_scaling.json`` and asserts the speedup targets below.  Modes and
+guard: see ``_harness.py``.
 
 History (record mode):
 
@@ -74,19 +56,17 @@ History (record mode):
 
 from __future__ import annotations
 
-import json
-import os
 import time
-from pathlib import Path
 from typing import Dict, List, Tuple
 
+from _harness import (HIGHER, LOWER, RECORD, ROOT, check_guard, guard,
+                      marginal, rate, run_specs, timed, write_record)
 from repro.core.protocol import build_mdst_network
 from repro.graphs.fast_generators import make_fast_graph
-from repro.runtime.engine import SweepEngine
 from repro.runtime.spec import RunSpec
 from repro.sim.array_kernel import build_array_mdst_network
 
-OUTPUT_PATH = Path(__file__).resolve().parent.parent / "BENCH_scaling.json"
+OUTPUT_PATH = ROOT / "BENCH_scaling.json"
 
 #: Both kernel backends run every tier; rows carry ``backend`` and
 #: ``scheduler`` columns.
@@ -115,7 +95,7 @@ ASYNC_WINDOW = 6
 
 SEED = 11
 
-#: Smoke workload: small, fast, fixed -- the CI guard compares like for
+#: Smoke workload: small, fast, fixed -- the guard compares like for
 #: like.  The (array, random) combination keeps the async planner path on
 #: the CI radar.
 SMOKE_N = 64
@@ -126,10 +106,6 @@ SMOKE_COMBOS: Tuple[Tuple[str, str], ...] = (
     ("array", "synchronous"),
     ("array", "random"),
 )
-
-#: Fail smoke mode only when a combination's throughput drops more than
-#: this factor below its committed record (absorbs machine variation).
-SMOKE_GUARD_FACTOR = 5.0
 
 #: Record-mode acceptance: array-backend aggregate rounds/sec over the
 #: synchronous scaling tier must beat the object backend by at least this
@@ -150,30 +126,13 @@ CONSTRUCTION_MODES: Tuple[str, ...] = ("object", "array_nx", "csr_direct")
 #: and end to end (generation + build).
 CONSTRUCTION_SPEEDUP_TARGET = 10.0
 
-#: Smoke mode runs only this case (fast: tens of milliseconds) against
-#: the committed guard.
+#: Smoke mode runs only this case, in ``csr_direct`` mode (fast: tens of
+#: milliseconds), against the committed guard.
 CONSTRUCTION_SMOKE_N = 10_000
 
-
-def _workload_fingerprint() -> Dict[str, object]:
-    return {
-        "families": list(FAMILIES),
-        "breadth_sizes": list(BREADTH_SIZES),
-        "scaling_family": SCALING_FAMILY,
-        "scaling_sizes": list(SCALING_SIZES),
-        "async_scheduler": ASYNC_SCHEDULER,
-        "async_sizes": list(ASYNC_SIZES),
-        "backends": list(BACKENDS),
-        "seed": SEED,
-        "scheduler": "synchronous",
-        "initial": "isolated",
-        "task": "throughput",
-        "measurement": "two-budget warm-up subtraction",
-    }
-
-
-def _smoke_fingerprint() -> Dict[str, object]:
-    return {
+#: The smoke workloads, by guard name.
+SMOKE_GUARDS = {
+    "throughput": {
         "family": SCALING_FAMILY,
         "n": SMOKE_N,
         "warmup": SMOKE_WARMUP,
@@ -183,11 +142,8 @@ def _smoke_fingerprint() -> Dict[str, object]:
         "initial": "isolated",
         "task": "throughput",
         "measurement": "two-budget warm-up subtraction",
-    }
-
-
-def _construction_fingerprint() -> Dict[str, object]:
-    return {
+    },
+    "construction": {
         "family": CONSTRUCTION_FAMILY,
         "sizes": list(CONSTRUCTION_SIZES),
         "modes": list(CONSTRUCTION_MODES),
@@ -195,137 +151,87 @@ def _construction_fingerprint() -> Dict[str, object]:
         "smoke_mode": "csr_direct",
         "seed": SEED,
         "measurement": "wall-clock generation + network build",
-    }
+    },
+}
 
 
-def _merge_payload(updates: Dict[str, object]) -> None:
-    """Update ``BENCH_scaling.json`` in place, preserving other sections.
-
-    Both record-mode tests write through here so re-recording one test
-    does not drop the other's committed rows and guards.
-    """
-    data: Dict[str, object] = {}
-    if OUTPUT_PATH.exists():
-        data = json.loads(OUTPUT_PATH.read_text())
-    data.update(updates)
-    data["unix_time"] = int(time.time())
-    OUTPUT_PATH.write_text(json.dumps(data, indent=2) + "\n")
-
-
-def _timed_run(engine: SweepEngine, family: str, n: int, backend: str,
-               scheduler: str, budget: int) -> float:
-    """One throughput run of exactly ``budget`` rounds; returns seconds.
-
-    ``stability_window`` sits above the budget so the simulator cannot
-    stop early on a transiently legitimate configuration -- the run
-    executes ``max_rounds`` rounds, full stop, and the two budgets of a
-    measurement therefore differ by exactly the window.
-    """
-    spec = RunSpec(task="throughput", family=family, n=n, seed=SEED,
-                   scheduler=scheduler, initial="isolated",
-                   max_rounds=budget, stability_window=budget + 1,
-                   backend=backend)
-    [outcome] = engine.execute([spec])
-    rounds = int(outcome.row["rounds"])
-    assert rounds == budget, (
-        f"{family} n={n} backend={backend} scheduler={scheduler}: expected "
-        f"exactly {budget} rounds, got {rounds}")
-    return float(outcome.row["seconds"])
-
-
-def _measure(engine: SweepEngine, family: str, n: int, backend: str,
-             warmup: int, window: int,
+def _measure(family: str, n: int, backend: str, warmup: int, window: int,
              scheduler: str = "synchronous") -> Dict[str, object]:
     """Marginal cost of ``window`` rounds after a ``warmup``-round prefix."""
-    t_warm = _timed_run(engine, family, n, backend, scheduler, warmup)
-    t_full = _timed_run(engine, family, n, backend, scheduler,
-                        warmup + window)
-    seconds = max(t_full - t_warm, 1e-9)
-    return {
-        "family": family,
-        "n": n,
-        "backend": backend,
-        "scheduler": scheduler,
-        "warmup_rounds": warmup,
-        "measured_rounds": window,
-        "seconds": round(seconds, 4),
-        "rounds_per_sec": round(window / seconds, 2),
-        "ms_per_round": round(1000.0 * seconds / window, 3),
-    }
+    def run(budget: int) -> float:
+        # ``stability_window`` above the budget: the run cannot stop early
+        # on a transiently legitimate configuration, so the two budgets of
+        # a measurement differ by exactly the window.
+        [row] = run_specs([RunSpec(
+            task="throughput", family=family, n=n, seed=SEED,
+            scheduler=scheduler, initial="isolated", max_rounds=budget,
+            stability_window=budget + 1, backend=backend)])
+        assert row["rounds"] == budget, (
+            f"{family} n={n} backend={backend} scheduler={scheduler}: "
+            f"expected exactly {budget} rounds, got {row['rounds']}")
+        return float(row["seconds"])
+
+    return {"family": family, "n": n, "backend": backend,
+            "scheduler": scheduler, **marginal(run, warmup, window)}
 
 
-def _aggregate(rows: List[Dict[str, object]]) -> float:
-    seconds = sum(float(row["seconds"]) for row in rows)
-    rounds = sum(int(row["measured_rounds"]) for row in rows)
-    return round(rounds / seconds, 2) if seconds > 0 else 0.0
+def _speedup(rows: List[Dict[str, object]]) -> Tuple[Dict[str, float], float]:
+    """Per-backend aggregate rounds/sec and the array/object ratio."""
+    agg = {backend: rate([r for r in rows if r["backend"] == backend],
+                         "measured_rounds")
+           for backend in BACKENDS}
+    return agg, round(agg["array"] / agg["object"], 2)
 
 
 def test_scaling_throughput():
-    record = os.environ.get("REPRO_BENCH_RECORD", "") == "1"
-    engine = SweepEngine(workers=1, cache=None)
-
-    if not record:
-        rows = [_measure(engine, SCALING_FAMILY, SMOKE_N, backend,
-                         SMOKE_WARMUP, SMOKE_WINDOW, scheduler=scheduler)
-                for backend, scheduler in SMOKE_COMBOS]
-        print()
-        for row in rows:
-            print(f"scaling throughput (smoke, {row['backend']}/"
-                  f"{row['scheduler']}): {row['rounds_per_sec']} rounds/sec "
-                  f"({row['ms_per_round']} ms/round at n={SMOKE_N})")
-            assert float(row["rounds_per_sec"]) > 0
-        guard = None
-        if OUTPUT_PATH.exists():
-            committed = json.loads(OUTPUT_PATH.read_text())
-            guard = committed.get("smoke_guard")
-        if guard and guard.get("workload") == _smoke_fingerprint():
-            for row in rows:
-                combo = f"{row['backend']}/{row['scheduler']}"
-                recorded = float(guard["rounds_per_sec"][combo])
-                floor = recorded / SMOKE_GUARD_FACTOR
-                current = float(row["rounds_per_sec"])
-                print(f"smoke guard ({combo}): recorded {recorded} "
-                      f"rounds/sec, floor {round(floor, 2)}")
-                assert current >= floor, (
-                    f"{combo} smoke throughput {current} rounds/sec is "
-                    f"more than {SMOKE_GUARD_FACTOR}x below the committed "
-                    f"record {recorded} (see BENCH_scaling.json)")
-        else:
-            print("smoke guard: no matching committed record, guard skipped")
-        return
-
-    # -- record mode: smoke first, then the three tiers, both backends ------
-    # The smoke record runs before the heavy tiers: the n=8192 object runs
+    # The smoke rows run before the heavy tiers: the n=8192 object runs
     # leave the allocator and GC in a state that inflates every later
     # small-n measurement, and the guard must compare against the same
     # fresh-process conditions plain ``pytest`` runs under.
-    smoke_rows = [_measure(engine, SCALING_FAMILY, SMOKE_N, backend,
-                           SMOKE_WARMUP, SMOKE_WINDOW, scheduler=scheduler)
+    smoke_rows = [_measure(SCALING_FAMILY, SMOKE_N, backend, SMOKE_WARMUP,
+                           SMOKE_WINDOW, scheduler=scheduler)
                   for backend, scheduler in SMOKE_COMBOS]
-    breadth = [_measure(engine, family, n, backend,
-                        BREADTH_WARMUP, BREADTH_WINDOW)
+    values = {f"{r['backend']}/{r['scheduler']}": r["rounds_per_sec"]
+              for r in smoke_rows}
+    print()
+    for row in smoke_rows:
+        print(f"scaling throughput (smoke, {row['backend']}/"
+              f"{row['scheduler']}): {row['rounds_per_sec']} rounds/sec "
+              f"({row['ms_per_round']} ms/round at n={SMOKE_N})")
+    if not RECORD:
+        check_guard(OUTPUT_PATH, "throughput", SMOKE_GUARDS["throughput"],
+                    values, HIGHER)
+        return
+
+    breadth = [_measure(family, n, backend, BREADTH_WARMUP, BREADTH_WINDOW)
                for family in FAMILIES for n in BREADTH_SIZES
                for backend in BACKENDS]
-    scaling = [_measure(engine, SCALING_FAMILY, n, backend,
-                        SCALING_WARMUP, SCALING_WINDOW)
+    scaling = [_measure(SCALING_FAMILY, n, backend, SCALING_WARMUP,
+                        SCALING_WINDOW)
                for n in SCALING_SIZES for backend in BACKENDS]
-    async_runs = [_measure(engine, SCALING_FAMILY, n, backend,
-                           ASYNC_WARMUP, ASYNC_WINDOW,
-                           scheduler=ASYNC_SCHEDULER)
+    async_runs = [_measure(SCALING_FAMILY, n, backend, ASYNC_WARMUP,
+                           ASYNC_WINDOW, scheduler=ASYNC_SCHEDULER)
                   for n in ASYNC_SIZES for backend in BACKENDS]
 
-    agg = {backend: _aggregate([r for r in scaling if r["backend"] == backend])
-           for backend in BACKENDS}
-    speedup = round(agg["array"] / agg["object"], 2) if agg["object"] else 0.0
-    async_agg = {backend: _aggregate([r for r in async_runs
-                                      if r["backend"] == backend])
-                 for backend in BACKENDS}
-    async_speedup = (round(async_agg["array"] / async_agg["object"], 2)
-                     if async_agg["object"] else 0.0)
-    payload = {
+    agg, speedup = _speedup(scaling)
+    async_agg, async_speedup = _speedup(async_runs)
+    write_record(OUTPUT_PATH, {
         "benchmark": "scaling_throughput",
         "mode": "record",
-        "workload": _workload_fingerprint(),
+        "workload": {
+            "families": list(FAMILIES),
+            "breadth_sizes": list(BREADTH_SIZES),
+            "scaling_family": SCALING_FAMILY,
+            "scaling_sizes": list(SCALING_SIZES),
+            "async_scheduler": ASYNC_SCHEDULER,
+            "async_sizes": list(ASYNC_SIZES),
+            "backends": list(BACKENDS),
+            "seed": SEED,
+            "scheduler": "synchronous",
+            "initial": "isolated",
+            "task": "throughput",
+            "measurement": "two-budget warm-up subtraction",
+        },
         "breadth_runs": breadth,
         "scaling_runs": scaling,
         "async_runs": async_runs,
@@ -334,7 +240,7 @@ def test_scaling_throughput():
         "array_speedup": {
             "aggregate": speedup,
             "target": ARRAY_SPEEDUP_TARGET,
-            "note": "aggregate = sum(measured rounds) / sum(marginal "
+            "note": "aggregate = sum(measured rounds) / sum(median marginal "
                     "seconds) per backend over the scaling tier (n >= "
                     "256, erdos_renyi_sparse, synchronous); compare "
                     "trends, not absolutes, across machines",
@@ -346,15 +252,9 @@ def test_scaling_throughput():
                     f"{list(ASYNC_SIZES)}, erdos_renyi_sparse, "
                     f"{ASYNC_SCHEDULER} scheduler)",
         },
-        "smoke_guard": {
-            "workload": _smoke_fingerprint(),
-            "rounds_per_sec": {f"{r['backend']}/{r['scheduler']}":
-                               r["rounds_per_sec"] for r in smoke_rows},
-            "guard_factor": SMOKE_GUARD_FACTOR,
-        },
-    }
-    _merge_payload(payload)
-    print()
+        "smoke_guard": {"throughput": guard(SMOKE_GUARDS["throughput"],
+                                            values, HIGHER)},
+    })
     print(f"scaling throughput (record): array {agg['array']} vs object "
           f"{agg['object']} rounds/sec aggregate -> {speedup}x; async "
           f"({ASYNC_SCHEDULER}) array {async_agg['array']} vs object "
@@ -363,7 +263,8 @@ def test_scaling_throughput():
     for row in scaling + async_runs:
         print(f"  n={row['n']} {row['backend']}/{row['scheduler']}: "
               f"{row['rounds_per_sec']} rounds/sec "
-              f"({row['ms_per_round']} ms/round)")
+              f"({row['ms_per_round']} ms/round, IQR "
+              f"{row['seconds_iqr']} s)")
     assert speedup >= ARRAY_SPEEDUP_TARGET, (
         f"array-backend aggregate {agg['array']} rounds/sec is only "
         f"{speedup}x the object backend ({agg['object']}); the gate is "
@@ -386,73 +287,45 @@ def _construction_measure(n: int, mode: str) -> Dict[str, object]:
     additionally pay the nx materialization (charged to generation --
     it is part of producing the input those builds consume).
     """
-    t0 = time.perf_counter()
-    eg = make_fast_graph(CONSTRUCTION_FAMILY, n, seed=SEED)
-    graph = eg if mode == "csr_direct" else eg.to_networkx()
-    generate_seconds = time.perf_counter() - t0
+    def sample() -> Dict[str, float]:
+        t0 = time.perf_counter()
+        eg = make_fast_graph(CONSTRUCTION_FAMILY, n, seed=SEED)
+        graph = eg if mode == "csr_direct" else eg.to_networkx()
+        t1 = time.perf_counter()
+        if mode == "object":
+            network = build_mdst_network(graph)
+        else:
+            network = build_array_mdst_network(graph, n_upper=n + 1)
+        t2 = time.perf_counter()
+        assert network.n == n
+        return {"generate_seconds": t1 - t0, "build_seconds": t2 - t1,
+                "total_seconds": t2 - t0}
 
-    t1 = time.perf_counter()
-    if mode == "object":
-        network = build_mdst_network(graph)
-    else:
-        network = build_array_mdst_network(graph, n_upper=n + 1)
-    build_seconds = time.perf_counter() - t1
-
-    assert network.n == n
-    total = generate_seconds + build_seconds
-    return {
-        "family": CONSTRUCTION_FAMILY,
-        "n": n,
-        "mode": mode,
-        "generate_seconds": round(generate_seconds, 4),
-        "build_seconds": round(build_seconds, 4),
-        "total_seconds": round(total, 4),
-    }
+    return {"family": CONSTRUCTION_FAMILY, "n": n, "mode": mode,
+            **timed(sample)}
 
 
 def test_construction_scaling():
-    record = os.environ.get("REPRO_BENCH_RECORD", "") == "1"
-
-    if not record:
-        row = _construction_measure(CONSTRUCTION_SMOKE_N, "csr_direct")
-        print()
-        print(f"construction (smoke, csr_direct): "
-              f"n={CONSTRUCTION_SMOKE_N} generate "
-              f"{row['generate_seconds']}s + build {row['build_seconds']}s "
-              f"= {row['total_seconds']}s")
-        guard = None
-        if OUTPUT_PATH.exists():
-            committed = json.loads(OUTPUT_PATH.read_text())
-            guard = committed.get("construction_smoke_guard")
-        if guard and guard.get("workload") == _construction_fingerprint():
-            recorded = float(guard["total_seconds"])
-            ceiling = recorded * SMOKE_GUARD_FACTOR
-            print(f"construction smoke guard: recorded {recorded}s, "
-                  f"ceiling {round(ceiling, 4)}s")
-            assert float(row["total_seconds"]) <= ceiling, (
-                f"csr_direct construction at n={CONSTRUCTION_SMOKE_N} took "
-                f"{row['total_seconds']}s, more than {SMOKE_GUARD_FACTOR}x "
-                f"the committed record {recorded}s (see BENCH_scaling.json)")
-        else:
-            print("construction smoke guard: no matching committed record, "
-                  "guard skipped")
+    smoke_row = _construction_measure(CONSTRUCTION_SMOKE_N, "csr_direct")
+    values = {"total_seconds": smoke_row["total_seconds"]}
+    print()
+    print(f"construction (smoke, csr_direct): n={CONSTRUCTION_SMOKE_N} "
+          f"generate {smoke_row['generate_seconds']}s + build "
+          f"{smoke_row['build_seconds']}s = {smoke_row['total_seconds']}s")
+    if not RECORD:
+        check_guard(OUTPUT_PATH, "construction", SMOKE_GUARDS["construction"],
+                    values, LOWER)
         return
 
-    # -- record mode: all sizes x modes, then the n=10k gate ---------------
     rows = [_construction_measure(n, mode)
             for n in CONSTRUCTION_SIZES for mode in CONSTRUCTION_MODES]
     by_key = {(row["n"], row["mode"]): row for row in rows}
     gate_n = 10_000
     obj = by_key[(gate_n, "object")]
     csr = by_key[(gate_n, "csr_direct")]
-    build_speedup = round(
-        float(obj["build_seconds"]) / max(float(csr["build_seconds"]), 1e-9),
-        2)
-    total_speedup = round(
-        float(obj["total_seconds"]) / max(float(csr["total_seconds"]), 1e-9),
-        2)
-    smoke_row = by_key[(CONSTRUCTION_SMOKE_N, "csr_direct")]
-    _merge_payload({
+    build_speedup = round(obj["build_seconds"] / csr["build_seconds"], 2)
+    total_speedup = round(obj["total_seconds"] / csr["total_seconds"], 2)
+    write_record(OUTPUT_PATH, {
         "construction_runs": rows,
         "construction_speedup": {
             "n": gate_n,
@@ -463,13 +336,9 @@ def test_construction_scaling():
                     f"n={gate_n} ({CONSTRUCTION_FAMILY}); compare trends, "
                     "not absolutes, across machines",
         },
-        "construction_smoke_guard": {
-            "workload": _construction_fingerprint(),
-            "total_seconds": smoke_row["total_seconds"],
-            "guard_factor": SMOKE_GUARD_FACTOR,
-        },
+        "smoke_guard": {"construction": guard(SMOKE_GUARDS["construction"],
+                                              values, LOWER)},
     })
-    print()
     for row in rows:
         print(f"  construction n={row['n']} {row['mode']}: generate "
               f"{row['generate_seconds']}s + build {row['build_seconds']}s "

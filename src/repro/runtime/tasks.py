@@ -59,7 +59,7 @@ from ..baselines.local_search import greedy_local_search
 from ..baselines.simple_trees import evaluate_simple_trees
 from ..core.protocol import build_mdst_network, run_mdst
 from ..core.reference import ReferenceMDST
-from ..exceptions import ConfigurationError
+from ..exceptions import ConfigurationError, SimulationError
 from ..graphs.generators import hard_hub_graph
 from ..graphs.properties import is_hamiltonian_path_certificate, mdst_lower_bound
 from ..graphs.spanning import bfs_spanning_tree, tree_degree
@@ -409,6 +409,23 @@ def run_improvement_task(spec: RunSpec) -> RunOutcome:
     return RunOutcome(spec=spec, row=row, record=_record_for(spec, graph, result))
 
 
+def _timed_protocol_run(graph, config, **plans):
+    """Run the protocol under the wall clock.
+
+    Returns the result and the ``seconds`` / ``rounds_per_sec`` row
+    columns.  A nonpositive duration means the clock failed, not that the
+    run was free, so it raises instead of becoming a rate.
+    """
+    start = time.perf_counter()
+    result = run_protocol(graph, config, **plans)
+    seconds = time.perf_counter() - start
+    if not seconds > 0:
+        raise SimulationError(
+            f"protocol run measured {seconds!r} s; a duration must be positive")
+    return result, {"seconds": round(seconds, 4),
+                    "rounds_per_sec": round(result.rounds / seconds, 2)}
+
+
 def run_throughput_task(spec: RunSpec) -> RunOutcome:
     """Kernel throughput measurement: simulated rounds per wall-clock second.
 
@@ -420,63 +437,21 @@ def run_throughput_task(spec: RunSpec) -> RunOutcome:
     Convergence is reported but *not* required: large instances run against
     a fixed round budget.  The engine never caches these rows (see
     :data:`UNCACHEABLE_TASKS`) -- a cached wall-clock measurement would
-    masquerade as a fresh one.
-
-    Params: ``profile`` (int, default 0) -- when positive, the run executes
-    under :mod:`cProfile` and the row grows a ``profile_top`` column with
-    that many hottest functions by cumulative time (who-is-slow triage for
-    kernel work, e.g. ``spec.with_params(profile=25)``).  Profiled
-    timings carry interpreter tracing overhead and are *not* comparable to
-    unprofiled rows; the column exists for ranking, not for rates.
+    masquerade as a fresh one.  For a per-layer split of the time, use
+    ``perfbench/run.py --trace 1``; for ad-hoc triage, ``python -m cProfile``.
     """
     graph = spec.build_graph()
-    config = spec.protocol_run_config()
-    adversary = _adversary(spec)
-    profile_top = int(spec.param("profile", 0))
-    profiler = None
-    if profile_top > 0:
-        import cProfile
-        if config.backend == "array":
-            # The array modules, and numpy.ma under the CSR layout's
-            # np.unique, import lazily on first use inside run_protocol.
-            # In a cold process that one-time import storm lands inside
-            # the profiled region and drowns the vectorized round loop in
-            # importlib frames, so warm it up before the profiler starts
-            # counting.
-            import numpy.ma                  # noqa: F401
-            import repro.sim.array_engine    # noqa: F401
-            import repro.sim.array_kernel    # noqa: F401
-            import repro.sim.array_substrates  # noqa: F401
-        profiler = cProfile.Profile()
-        profiler.enable()
-    start = time.perf_counter()
-    result = run_protocol(graph, config, fault_plan=_fault_plan(spec),
-                          adversary=adversary)
-    seconds = time.perf_counter() - start
-    if profiler is not None:
-        profiler.disable()
+    result, timing = _timed_protocol_run(
+        graph, spec.protocol_run_config(), fault_plan=_fault_plan(spec),
+        adversary=_adversary(spec))
     row = _identify(spec, graph)
     row.update({
         "max_rounds": spec.max_rounds,
         "rounds": result.rounds,
         "converged": result.converged,
         "tree_degree": result.tree_degree,
-        "seconds": round(seconds, 4),
-        "rounds_per_sec": round(result.rounds / seconds, 2) if seconds > 0 else 0.0,
+        **timing,
     })
-    if profiler is not None:
-        import pstats
-        stats = pstats.Stats(profiler)
-        entries = sorted(
-            ((func, nc, ct, tt) for func, (_cc, nc, tt, ct, _callers)
-             in stats.stats.items()),
-            key=lambda item: item[2], reverse=True)
-        row["profile_top"] = [
-            {"function": f"{func[0]}:{func[1]}({func[2]})",
-             "ncalls": nc,
-             "cumtime": round(ct, 4),
-             "tottime": round(tt, 4)}
-            for func, nc, ct, tt in entries[:profile_top]]
     return RunOutcome(spec=spec, row=row, record=_record_for(spec, graph, result))
 
 
@@ -510,11 +485,9 @@ def run_churn_task(spec: RunSpec) -> RunOutcome:
         # Joins may grow the network past the input size: keep the distance
         # bound legal for every topology the plan can produce.
         config.n_upper = graph.number_of_nodes() + spec.churn_events + 1
-    adversary = _adversary(spec)
-    start = time.perf_counter()
-    result = run_protocol(graph, config, fault_plan=_fault_plan(spec),
-                          churn_plan=plan, adversary=adversary)
-    seconds = time.perf_counter() - start
+    result, timing = _timed_protocol_run(
+        graph, config, fault_plan=_fault_plan(spec), churn_plan=plan,
+        adversary=_adversary(spec))
     extra = result.run.extra
     convergence_round = extra.get("convergence_round")
     churn_rounds = extra.get("churn_rounds", [])
@@ -537,8 +510,7 @@ def run_churn_task(spec: RunSpec) -> RunOutcome:
         "steps": result.run.steps,
         "messages": result.run.messages,
         "tree_degree": result.tree_degree,
-        "seconds": round(seconds, 4),
-        "rounds_per_sec": round(result.rounds / seconds, 2) if seconds > 0 else 0.0,
+        **timing,
     })
     if spec.adversary_enabled:
         # Adversary losses are accounted by the channel model, never in
@@ -574,11 +546,9 @@ def run_adversary_task(spec: RunSpec) -> RunOutcome:
             "(--loss/--dup/--reorder/--crash-count/--byzantine-count)")
     adversary = _adversary(spec)
     graph = spec.build_graph()
-    config = spec.protocol_run_config()
-    start = time.perf_counter()
-    result = run_protocol(graph, config, fault_plan=_fault_plan(spec),
-                          adversary=adversary)
-    seconds = time.perf_counter() - start
+    result, timing = _timed_protocol_run(
+        graph, spec.protocol_run_config(), fault_plan=_fault_plan(spec),
+        adversary=adversary)
     extra = result.run.extra
     convergence_round = extra.get("convergence_round")
     adversary_rounds = extra.get("adversary_rounds", [])
@@ -609,8 +579,7 @@ def run_adversary_task(spec: RunSpec) -> RunOutcome:
         "steps": result.run.steps,
         "messages": result.run.messages,
         "tree_degree": result.tree_degree,
-        "seconds": round(seconds, 4),
-        "rounds_per_sec": round(result.rounds / seconds, 2) if seconds > 0 else 0.0,
+        **timing,
     })
     return RunOutcome(spec=spec, row=row, record=_record_for(spec, graph, result))
 

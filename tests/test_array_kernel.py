@@ -254,33 +254,6 @@ class TestHashSeedDeterminism:
         assert digests[0] == digests[1]
 
 
-class TestThroughputProfile:
-    def test_profile_param_profiles_the_array_round_loop(self):
-        """``profile=N`` under backend='array' ranks kernel work, not imports.
-
-        Runs in a subprocess so the array modules are cold: before the
-        pre-warm fix, the lazy import storm landed inside the profiled
-        region and importlib frames drowned the round loop.
-        """
-        script = (
-            "import sys, json\n"
-            f"sys.path.insert(0, {SRC!r})\n"
-            "from repro.runtime.spec import RunSpec\n"
-            "from repro.runtime.tasks import run_throughput_task\n"
-            "spec = RunSpec(task='throughput', family='erdos_renyi_sparse',"
-            " n=64, seed=3, max_rounds=30, stability_window=31,"
-            " backend='array').with_params(profile=15)\n"
-            "row = run_throughput_task(spec).row\n"
-            "print(json.dumps(row['profile_top']))\n")
-        proc = subprocess.run([sys.executable, "-c", script],
-                              capture_output=True, text=True, check=True)
-        top = json.loads(proc.stdout.strip().splitlines()[-1])
-        assert len(top) == 15
-        functions = [entry["function"] for entry in top]
-        assert not any("importlib" in f for f in functions), functions
-        assert any("array_kernel" in f for f in functions), functions
-
-
 class TestNoScipy:
     """The array backend lays out its CSR topology with numpy alone."""
 

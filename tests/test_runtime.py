@@ -10,10 +10,12 @@ from __future__ import annotations
 
 import dataclasses
 import json
+from types import SimpleNamespace
 
 import pytest
 
-from repro.exceptions import ConfigurationError
+import repro.runtime.tasks as tasks_module
+from repro.exceptions import ConfigurationError, SimulationError
 from repro.experiments import run_workload, workload_records
 from repro.experiments.workloads import WorkloadInstance
 from repro.runtime import (
@@ -137,6 +139,21 @@ class TestTasks:
         faulty_row = execute_spec(faulty).row
         assert faulty_row != execute_spec(base).row
         assert faulty_row["converged"] is True
+
+    @pytest.mark.parametrize("task, knobs", [
+        ("throughput", {}),
+        ("churn", dict(churn_rate=0.1, churn_start=5, churn_events=1)),
+        ("adversary", dict(loss_rate=0.05)),
+    ])
+    def test_timed_tasks_refuse_a_nonpositive_duration(self, task, knobs,
+                                                       monkeypatch):
+        """A stopped clock fails the row instead of reporting a rate."""
+        monkeypatch.setattr(tasks_module, "time",
+                            SimpleNamespace(perf_counter=lambda: 1.0))
+        spec = RunSpec(task=task, family="wheel", n=8, seed=3, **FAST,
+                       **knobs)
+        with pytest.raises(SimulationError, match="positive"):
+            execute_spec(spec)
 
 
 class TestProtocolSpecs:
